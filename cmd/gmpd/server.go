@@ -680,9 +680,11 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleTelemetry streams the job's telemetry JSONL, following a
 // running job until it reaches a terminal state (tail -f semantics).
 // Every flushed prefix ends on a record boundary and validates under
-// the obs schema.
+// the obs schema. The response ends only once the job's status is
+// terminal, so a client that reads the stream to EOF can fetch the
+// result straight away.
 func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	st, _, ok := s.lookup(r)
+	st, j, ok := s.lookup(r)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
@@ -706,6 +708,12 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if done {
+			// runJob closes the stream just before the queue records
+			// the job's terminal status.
+			select {
+			case <-j.Done():
+			case <-r.Context().Done():
+			}
 			return
 		}
 		select {

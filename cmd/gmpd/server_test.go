@@ -533,3 +533,59 @@ func TestPprofGatedAndTopologyMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestResultReadyWhenTelemetryEnds checks that the end of a job's
+// telemetry stream implies a terminal job status: a client that follows
+// the stream to EOF and then asks for the result must get it at once,
+// never a 409 "job is running". Cache-hit jobs finish in well under a
+// millisecond, so several concurrent clients looping over them keep the
+// window between the stream's close and the job's completion exposed.
+func TestResultReadyWhenTelemetryEnds(t *testing.T) {
+	_, ts := newTestServer(t, 4)
+	const body = `{"scenario_name":"fig3","duration_s":2,"warmup_s":1}`
+	if st := waitTerminal(t, ts, submit(t, ts, body).ID); st.Status != "done" {
+		t.Fatalf("priming job: %+v", st)
+	}
+
+	const clients, jobsPerClient = 4, 150
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			errs <- func() error {
+				for i := 0; i < jobsPerClient; i++ {
+					resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+					if err != nil {
+						return err
+					}
+					var st statusResponse
+					err = json.NewDecoder(resp.Body).Decode(&st)
+					resp.Body.Close()
+					if err != nil {
+						return err
+					}
+					tresp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/telemetry")
+					if err != nil {
+						return err
+					}
+					io.Copy(io.Discard, tresp.Body)
+					tresp.Body.Close()
+					rresp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+					if err != nil {
+						return err
+					}
+					raw, _ := io.ReadAll(rresp.Body)
+					rresp.Body.Close()
+					if rresp.StatusCode != http.StatusOK {
+						return fmt.Errorf("job %d of %d: result after telemetry EOF: %d %s", i+1, jobsPerClient, rresp.StatusCode, raw)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

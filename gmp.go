@@ -797,8 +797,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		refFlows[i] = maxminref.FlowSpec{Src: spec.Src, Dst: spec.Dst, Weight: spec.Weight, Demand: spec.DesiredRate}
 	}
 
+	// gmpRT is the GMP runtime, central or distributed (nil for the
+	// other protocols); engine is set too under central GMP, the only
+	// runtime that feeds the overload watchdog.
+	var gmpRT protocolRuntime
 	var engine *core.Engine
-	var dist *core.Distributed
 	var twoPPTarget []float64
 	switch cfg.Protocol {
 	case ProtocolGMPDistributed:
@@ -819,7 +822,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		board := measure.NewOccupancyBoard(medium, cfg.Period)
-		dist, err = core.StartDistributed(sched, topo, cliques, board, nodes, dissAgents,
+		dist, err := core.StartDistributed(sched, topo, cliques, board, nodes, dissAgents,
 			registry, core.Params{
 				Period:           cfg.Period,
 				Beta:             cfg.Beta,
@@ -830,6 +833,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gmp: %w", err)
 		}
+		gmpRT = dist
 	case ProtocolGMP:
 		collector := measure.NewCollector(nodes, medium, cfg.OmegaThreshold)
 		engine, err = core.NewEngine(sched, topo, cliques, registry, collector, core.Params{
@@ -843,6 +847,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("gmp: %w", err)
 		}
 		engine.Start()
+		gmpRT = engine
 	case Protocol2PP:
 		twoPPTarget, err = baseline.TwoPPAllocation(refFlows, routes, cliques, baseline.UniformCliqueCapacity(capacity))
 		if err != nil {
@@ -853,13 +858,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	if fengine != nil {
-		if engine != nil {
-			engine.SetFaultProbe(fengine.DownNodes)
+	if gmpRT != nil {
+		if fengine != nil {
+			gmpRT.SetFaultProbe(fengine.DownNodes)
 		}
-		if dist != nil {
-			dist.SetFaultProbe(fengine.DownNodes)
-		}
+		gmpRT.SetRecorder(rec)
+		gmpRT.SetSpans(spanRec)
 	}
 
 	// admCtrl is the churn admission controller (set further below, when
@@ -890,11 +894,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if diff.Changed() {
 				lastTopoChange = sched.Now()
 				liveCliques = clique.Update(topo, liveCliques, diff.Moved)
-				if engine != nil {
-					engine.SetCliques(liveCliques)
-				}
-				if dist != nil {
-					dist.RefreshCliques(liveCliques)
+				if gmpRT != nil {
+					gmpRT.SetCliques(liveCliques)
 				}
 				if admCtrl != nil {
 					admCtrl.SetCliques(liveCliques)
@@ -970,11 +971,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if admCtrl != nil {
 				admCtrl.Release(id)
 			}
-			if engine != nil {
-				engine.OnFlowDeparted(id)
-			}
-			if dist != nil {
-				dist.OnFlowDeparted(id, f.Src)
+			if gmpRT != nil {
+				gmpRT.OnFlowDeparted(id, f.Src)
 			}
 			releaseQueues(id, f)
 		}
@@ -1023,12 +1021,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	if rec != nil {
-		if engine != nil {
-			engine.SetRecorder(rec)
-		}
-		if dist != nil {
-			dist.SetRecorder(rec)
-		}
 		// Periodic sampler: queue depths, per-link channel utilization,
 		// per-flow rate limits. Pure observation on the virtual clock.
 		interval := rec.SampleInterval()
@@ -1044,15 +1036,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			sched.After(interval, sample)
 		}
 		sched.After(interval, sample)
-	}
-
-	if spanRec != nil {
-		if engine != nil {
-			engine.SetSpans(spanRec)
-		}
-		if dist != nil {
-			dist.SetSpans(spanRec)
-		}
 	}
 
 	if done := ctx.Done(); done != nil {
@@ -1159,11 +1142,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	res.Imm = metrics.MaxminIndex(mRates)
 	res.Ieq = metrics.EqualityIndex(mRates)
 	res.U = metrics.EffectiveThroughput(mRates, mHops)
-	if engine != nil {
-		res.Trace = engine.Trace()
-	}
-	if dist != nil {
-		res.Trace = dist.Trace()
+	if gmpRT != nil {
+		res.Trace = gmpRT.Trace()
 	}
 	if churnEng != nil {
 		out := &ChurnOutcome{}
@@ -1220,6 +1200,17 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.Spans = spanRec.Finalize(cfg.Scenario.Name, cfg.Protocol.String(), cfg.Duration)
 	}
 	return res, nil
+}
+
+// protocolRuntime is what Run drives in a GMP runtime: the central
+// core.Engine and the distributed core.Distributed both provide it.
+type protocolRuntime interface {
+	SetFaultProbe(func() []topology.NodeID)
+	SetCliques(*clique.Set)
+	OnFlowDeparted(f packet.FlowID, src topology.NodeID)
+	SetRecorder(*obs.Recorder)
+	SetSpans(*span.Recorder)
+	Trace() []core.Round
 }
 
 func forwardingConfig(cfg Config) (forwarding.Config, error) {

@@ -114,20 +114,16 @@ type Round struct {
 
 // Engine drives GMP over a running simulation.
 type Engine struct {
+	conditions
+
 	sched     *sim.Scheduler
 	topo      *topology.Topology
 	cliques   *clique.Set
 	registry  *flow.Registry
 	collector *measure.Collector
-	params    Params
 
 	boundary int
-	pending  map[packet.FlowID]Request
 	lastSat  int
-	// slack counts consecutive rounds a flow ran under its limit with an
-	// unsaturated source queue; the limit is removed only after two, so a
-	// single noisy period cannot unleash a burst.
-	slack map[packet.FlowID]int
 
 	// faultProbe, when set, reports the currently crashed nodes so each
 	// trace Round records the fault state it was measured under.
@@ -141,16 +137,6 @@ type Engine struct {
 	overloadNotifier func([]clique.ID)
 	overloaded       map[clique.ID]bool
 
-	// rec is the telemetry recorder (nil when telemetry is off). The
-	// engine records which local condition generated each adjustment
-	// request and every applied limit change.
-	rec *obs.Recorder
-
-	// spans is the causal-trace recorder (nil when tracing is off). It
-	// receives the same condition/limit events with decision provenance
-	// attached (bottleneck clique and occupancy figures).
-	spans *span.Recorder
-
 	trace []Round
 }
 
@@ -162,13 +148,12 @@ func NewEngine(sched *sim.Scheduler, topo *topology.Topology, cliques *clique.Se
 		return nil, err
 	}
 	return &Engine{
-		sched:     sched,
-		topo:      topo,
-		cliques:   cliques,
-		registry:  registry,
-		collector: collector,
-		params:    params,
-		slack:     make(map[packet.FlowID]int),
+		conditions: newConditions(params),
+		sched:      sched,
+		topo:       topo,
+		cliques:    cliques,
+		registry:   registry,
+		collector:  collector,
 	}, nil
 }
 
@@ -204,13 +189,9 @@ func (e *Engine) SetSpans(r *span.Recorder) { e.spans = r }
 func (e *Engine) SetOverloadNotifier(fn func([]clique.ID)) { e.overloadNotifier = fn }
 
 // OnFlowDeparted drops the engine's per-flow adjustment state when a
-// flow leaves mid-run (churn): its pending request and slack streak
-// must not outlive it — flow IDs are never reused, but the maps would
-// otherwise grow without bound under sustained churn.
-func (e *Engine) OnFlowDeparted(f packet.FlowID) {
-	delete(e.slack, f)
-	delete(e.pending, f)
-}
+// flow leaves mid-run (churn). The source node is unused: the engine
+// keeps all flows' state in one place.
+func (e *Engine) OnFlowDeparted(f packet.FlowID, _ topology.NodeID) { e.forget(f) }
 
 // markOverloaded notes a clique as having generated a reduce this round.
 func (e *Engine) markOverloaded(id clique.ID) {
@@ -218,27 +199,6 @@ func (e *Engine) markOverloaded(id clique.ID) {
 		e.overloaded = make(map[clique.ID]bool)
 	}
 	e.overloaded[id] = true
-}
-
-// recordAll logs one condition event per flow in the set, in flow-ID
-// order so the telemetry stream does not inherit map iteration order.
-// cliqueID, occ, and maxOcc carry the bandwidth-condition provenance
-// for the span recorder (empty/nil for source and buffer conditions).
-func (e *Engine) recordAll(flows map[packet.FlowID]topology.NodeID, node topology.NodeID, cond obs.Condition, reduce bool, factor float64, cliqueID string, occ []float64, maxOcc float64) {
-	if e.rec == nil && e.spans == nil {
-		return
-	}
-	ids := make([]packet.FlowID, 0, len(flows))
-	for f := range flows {
-		ids = append(ids, f)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, f := range ids {
-		if e.rec != nil {
-			e.rec.Condition(f, node, cond, reduce, factor)
-		}
-		e.spans.Condition(f, node, cond.String(), reduce, factor, cliqueID, occ, maxOcc)
-	}
 }
 
 func (e *Engine) onBoundary() {
@@ -273,46 +233,9 @@ func (e *Engine) onBoundary() {
 	e.sched.After(e.params.Period, e.onBoundary)
 }
 
-// eq reports β-equality (§6.3): a and b differ by less than Beta of the
-// larger magnitude.
-func (e *Engine) eq(a, b float64) bool {
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= e.params.Beta*m
-}
-
-type reqSet map[packet.FlowID]Request
-
-func (r reqSet) addReduce(f packet.FlowID, factor float64) {
-	cur, ok := r[f]
-	if ok && cur.Reduce && cur.Factor <= factor {
-		return // keep the larger reduction
-	}
-	r[f] = Request{Reduce: true, Factor: factor}
-}
-
-func (r reqSet) addIncrease(f packet.FlowID, factor float64) {
-	cur, ok := r[f]
-	if ok && (cur.Reduce || cur.Factor <= factor) {
-		return // reductions override; keep the smaller increase
-	}
-	r[f] = Request{Factor: factor}
-}
-
-func (r reqSet) addReduceAll(flows map[packet.FlowID]topology.NodeID, factor float64) {
-	for f := range flows {
-		r.addReduce(f, factor)
-	}
-}
-
-func (r reqSet) addIncreaseAll(flows map[packet.FlowID]topology.NodeID, factor float64) {
-	for f := range flows {
-		r.addIncrease(f, factor)
-	}
-}
-
 // evaluate tests conditions 1–3 on the snapshot and returns the
 // aggregated per-flow requests.
-func (e *Engine) evaluate(snap *measure.Snapshot) map[packet.FlowID]Request {
+func (e *Engine) evaluate(snap *measure.Snapshot) reqSet {
 	e.augmentWithLimitPressure(snap)
 	e.overloaded = nil
 	reqs := make(reqSet)
@@ -365,96 +288,32 @@ func (e *Engine) augmentWithLimitPressure(snap *measure.Snapshot) {
 
 // localFlows returns the flows originating at virtual node v, i.e. flows
 // with source v.Node destined to the node v.Queue identifies.
-func (e *Engine) localFlows(v measure.VNodeID) []flow.Spec {
-	var out []flow.Spec
+func (e *Engine) localFlows(v measure.VNodeID) []localFlow {
+	var out []localFlow
 	for _, spec := range e.registry.Specs() {
 		if spec.Src == v.Node && packet.QueueForDest(spec.Dst) == v.Queue {
-			out = append(out, spec)
+			src := e.registry.Source(spec.ID)
+			_, limited := src.Limited()
+			out = append(out, localFlow{id: spec.ID, mu: src.NormRate(), limited: limited})
 		}
 	}
 	return out
 }
 
-// testSourceAndBufferConditions walks every saturated virtual node and
-// enforces §5.3's source and buffer-saturated conditions: the largest
-// normalized rate L1 feeding the node must equal the smallest normalized
-// rate S1 among its local flows and buffer-saturated upstream links.
+// testSourceAndBufferConditions enforces §5.3's source and
+// buffer-saturated conditions at every saturated virtual node. A reduce
+// aimed through an upstream link marks that link's cliques overloaded.
 func (e *Engine) testSourceAndBufferConditions(snap *measure.Snapshot, reqs reqSet) {
 	for v := range snap.Saturated {
-		ups := snap.Upstream(v)
-		locals := e.localFlows(v)
-
-		l1 := 0.0
-		s1 := math.Inf(1)
-		for _, up := range ups {
-			if up.NormRate > l1 {
-				l1 = up.NormRate
-			}
-			if up.Type == measure.BufferSaturated && up.NormRate > 0 && up.NormRate < s1 {
-				s1 = up.NormRate
-			}
-		}
-		for _, spec := range locals {
-			mu := e.registry.Source(spec.ID).NormRate()
-			if mu == 0 {
-				continue // no completed measurement period yet
-			}
-			if mu > l1 {
-				l1 = mu
-			}
-			if mu < s1 {
-				s1 = mu
-			}
-		}
-		if math.IsInf(s1, 1) || l1 == 0 || e.eq(s1, l1) {
-			continue // nothing to equalize, or already equal
-		}
-		wide := l1 > e.params.HalveGap*s1
-		down, up := 1-e.params.Beta, 1+e.params.Beta
-		if wide {
-			down, up = 0.5, 2
-		}
-		// Telemetry attribution: a saturated virtual node hosting flow
-		// sources enforces the source condition; a pure relay enforces
-		// the buffer-saturated condition.
-		cond := obs.CondBuffer
-		if len(locals) > 0 {
-			cond = obs.CondSource
-		}
-		for _, ul := range ups {
-			if e.eq(ul.NormRate, l1) {
-				reqs.addReduceAll(ul.Primaries, down)
-				e.recordAll(ul.Primaries, v.Node, cond, true, down, "", nil, 0)
-				if e.overloadNotifier != nil && len(ul.Primaries) > 0 {
-					wl := topology.Link{From: ul.Key.From, To: ul.Key.To}
-					for _, c := range e.cliques.Of(wl) {
-						e.markOverloaded(c.ID)
-					}
+		e.params.sourceBuffer(snap.Upstream(v), e.localFlows(v), func(f packet.FlowID, req Request, cond obs.Condition, via *measure.VLinkState) {
+			reqs.add(f, req)
+			e.record(f, v.Node, cond, req, "", nil, 0)
+			if via != nil && req.Reduce && e.overloadNotifier != nil {
+				for _, c := range e.cliques.Of(topology.Link{From: via.Key.From, To: via.Key.To}) {
+					e.markOverloaded(c.ID)
 				}
 			}
-			if ul.Type == measure.BufferSaturated && e.eq(ul.NormRate, s1) {
-				reqs.addIncreaseAll(ul.Primaries, up)
-				e.recordAll(ul.Primaries, v.Node, cond, false, up, "", nil, 0)
-			}
-		}
-		for _, spec := range locals {
-			src := e.registry.Source(spec.ID)
-			mu := src.NormRate()
-			if e.eq(mu, l1) {
-				reqs.addReduce(spec.ID, down)
-				if e.rec != nil {
-					e.rec.Condition(spec.ID, v.Node, cond, true, down)
-				}
-				e.spans.Condition(spec.ID, v.Node, cond.String(), true, down, "", nil, 0)
-			}
-			if _, limited := src.Limited(); limited && e.eq(mu, s1) {
-				reqs.addIncrease(spec.ID, up)
-				if e.rec != nil {
-					e.rec.Condition(spec.ID, v.Node, cond, false, up)
-				}
-				e.spans.Condition(spec.ID, v.Node, cond.String(), false, up, "", nil, 0)
-			}
-		}
+		})
 	}
 }
 
@@ -491,38 +350,17 @@ func (e *Engine) testBandwidthCondition(snap *measure.Snapshot, reqs reqSet) {
 		if len(owners) == 0 {
 			continue
 		}
-		// Saturated cliques: β-largest channel occupancy (§6.3).
-		maxOcc := 0.0
-		occ := make([]float64, len(owners))
-		for i, c := range owners {
-			for _, l := range c.Links {
-				occ[i] += snap.UndirectedOccupancy(l)
-			}
-			if occ[i] > maxOcc {
-				maxOcc = occ[i]
-			}
-		}
-		var saturated []*clique.Clique
-		for i, c := range owners {
-			if e.eq(occ[i], maxOcc) {
-				saturated = append(saturated, c)
-			}
-		}
+		saturated, occ, maxOcc := e.params.saturatedCliques(owners, snap.UndirectedOccupancy)
 
 		// Satisfied if worst's rate tops at least one saturated clique.
 		topped := false
 		l2 := 0.0
 		for _, c := range saturated {
-			cliqueMax := 0.0
-			for _, l := range c.Links {
-				if nr := snap.UndirectedNormRate(l); nr > cliqueMax {
-					cliqueMax = nr
-				}
-			}
+			cliqueMax := maxOver(c.Links, snap.UndirectedNormRate)
 			if cliqueMax > l2 {
 				l2 = cliqueMax
 			}
-			if worst.NormRate >= cliqueMax || e.eq(worst.NormRate, cliqueMax) {
+			if worst.NormRate >= cliqueMax || e.params.eq(worst.NormRate, cliqueMax) {
 				topped = true
 				break
 			}
@@ -538,9 +376,10 @@ func (e *Engine) testBandwidthCondition(snap *measure.Snapshot, reqs reqSet) {
 				e.markOverloaded(c.ID)
 			}
 		}
-		down, up := 1-e.params.Beta, 1+e.params.Beta
+		down, up := Request{Reduce: true, Factor: 1 - e.params.Beta}, Request{Factor: 1 + e.params.Beta}
 		seen := make(map[topology.Link]bool)
 		for _, c := range saturated {
+			cid := c.ID.String()
 			for _, l := range c.Links {
 				for _, dir := range []topology.Link{l, l.Reverse()} {
 					if seen[dir] {
@@ -548,13 +387,17 @@ func (e *Engine) testBandwidthCondition(snap *measure.Snapshot, reqs reqSet) {
 					}
 					seen[dir] = true
 					for _, kv := range byWLink[dir] {
-						if e.eq(kv.NormRate, l2) && kv.NormRate > 0 {
-							reqs.addReduceAll(kv.Primaries, down)
-							e.recordAll(kv.Primaries, kv.Key.From, obs.CondBandwidth, true, down, c.ID.String(), occ, maxOcc)
+						if e.params.eq(kv.NormRate, l2) && kv.NormRate > 0 {
+							for f := range kv.Primaries {
+								reqs.add(f, down)
+								e.record(f, kv.Key.From, obs.CondBandwidth, down, cid, occ, maxOcc)
+							}
 						}
-						if kv.Type == measure.BandwidthSaturated && e.eq(kv.NormRate, worst.NormRate) {
-							reqs.addIncreaseAll(kv.Primaries, up)
-							e.recordAll(kv.Primaries, kv.Key.From, obs.CondBandwidth, false, up, c.ID.String(), occ, maxOcc)
+						if kv.Type == measure.BandwidthSaturated && e.params.eq(kv.NormRate, worst.NormRate) {
+							for f := range kv.Primaries {
+								reqs.add(f, up)
+								e.record(f, kv.Key.From, obs.CondBandwidth, up, cid, occ, maxOcc)
+							}
 						}
 					}
 				}
@@ -564,93 +407,18 @@ func (e *Engine) testBandwidthCondition(snap *measure.Snapshot, reqs reqSet) {
 }
 
 // apply delivers the aggregated requests to the flow sources and runs the
-// rate-limit condition (§6.3): limited flows with no request probe upward
-// additively, and limits that are not binding are removed. A limit counts
-// as "not binding" only while the flow's source queue is unsaturated: a
-// backpressured source running below its limit is congested, not
-// undemanding, and removing its limit would let it burst past its peers
-// the moment congestion eases.
-func (e *Engine) apply(reqs map[packet.FlowID]Request, rates []float64, snap *measure.Snapshot) {
+// rate-limit condition (§6.3). A limit is idle while the flow's source
+// virtual node measured a full fraction under idleOmega.
+func (e *Engine) apply(reqs reqSet, rates []float64, snap *measure.Snapshot) {
 	limits := make([]float64, e.registry.NumFlows())
 	for i, src := range e.registry.Sources() {
-		f := packet.FlowID(i)
-		if src.Stopped() {
-			// A departed churn flow's final partial period can still show
-			// a nonzero rate crossing a saturated clique; installing a
-			// limit on it would persist forever (the stale-limit bug).
-			limits[i] = math.Inf(1)
-			delete(e.slack, f)
-			continue
-		}
 		spec := src.Spec()
-		req, has := reqs[f]
-		limit, limited := src.Limited()
-		// before/action feed the telemetry limit timeline; -1 encodes
-		// "no limit" (JSON-encodable, unlike +Inf).
-		before := -1.0
-		if limited {
-			before = limit
-		}
-		var action obs.LimitAction
-		switch {
-		case has && req.Reduce:
-			base := rates[i]
-			if limited && limit < base {
-				base = limit
-			}
-			src.SetLimit(base * req.Factor)
-			action = obs.ActionReduce
-		case has && !req.Reduce:
-			if limited {
-				src.SetLimit(limit * req.Factor)
-				action = obs.ActionIncrease
-			}
-		default:
-			if limited {
-				// "Unnecessary" means the flow is not even touching its
-				// constraint: it runs under the limit AND its source
-				// queue is essentially never full. A queue full even a
-				// modest fraction of the time (below the Ω classification
-				// threshold) already throttles the source below its
-				// limit, which must not be mistaken for low demand.
-				const idleOmega = 0.05
-				srcVNode := measure.VNodeID{Node: spec.Src, Queue: packet.QueueForDest(spec.Dst)}
-				if rates[i] < limit*(1-e.params.Beta) && snap.Omega[srcVNode] < idleOmega {
-					e.slack[f]++
-					if e.slack[f] >= 2 {
-						// The limit is persistently not binding: remove it.
-						src.RemoveLimit()
-						e.slack[f] = 0
-						action = obs.ActionRemove
-					}
-				} else {
-					e.slack[f] = 0
-					src.SetLimit(limit + e.params.AdditiveIncrease)
-					action = obs.ActionProbe
-				}
-			}
-		}
-		after := -1.0
-		if l, ok := src.Limited(); ok {
+		req, has := reqs[spec.ID]
+		srcVNode := measure.VNodeID{Node: spec.Src, Queue: packet.QueueForDest(spec.Dst)}
+		e.applyLimit(src, req, has, rates[i], snap.Omega[srcVNode] < idleOmega)
+		limits[i] = math.Inf(1)
+		if l, ok := src.Limited(); ok && !src.Stopped() {
 			limits[i] = l
-			after = l
-		} else {
-			limits[i] = math.Inf(1)
-		}
-		if action != "" {
-			if e.rec != nil {
-				e.rec.LimitChange(f, action, before, after)
-				if action == obs.ActionProbe || action == obs.ActionRemove {
-					// The rate-limit condition (§5.3 c4): a source with a
-					// non-binding limit probes upward or sheds the limit.
-					factor := 0.0
-					if action == obs.ActionProbe && before > 0 && after > 0 {
-						factor = after / before
-					}
-					e.rec.Condition(f, spec.Src, obs.CondRateLimit, false, factor)
-				}
-			}
-			e.spans.LimitChange(f, spec.Src, string(action), before, after)
 		}
 	}
 	round := Round{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"gmp/internal/forwarding"
 	"gmp/internal/geom"
 	"gmp/internal/measure"
+	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/radio"
 	"gmp/internal/routing"
@@ -38,7 +40,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestBetaEquality(t *testing.T) {
-	e := &Engine{params: Params{Beta: 0.10}}
+	p := Params{Beta: 0.10}
 	tests := []struct {
 		a, b float64
 		want bool
@@ -52,7 +54,7 @@ func TestBetaEquality(t *testing.T) {
 		{1000, 905, true}, // scales with magnitude
 	}
 	for _, tt := range tests {
-		if got := e.eq(tt.a, tt.b); got != tt.want {
+		if got := p.eq(tt.a, tt.b); got != tt.want {
 			t.Errorf("eq(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}
@@ -61,47 +63,122 @@ func TestBetaEquality(t *testing.T) {
 func TestRequestAggregation(t *testing.T) {
 	r := make(reqSet)
 	// Increases keep the smallest factor.
-	r.addIncrease(0, 2.0)
-	r.addIncrease(0, 1.1)
+	r.add(0, Request{Factor: 2.0})
+	r.add(0, Request{Factor: 1.1})
 	if req := r[0]; req.Reduce || req.Factor != 1.1 {
 		t.Errorf("increase aggregation = %+v", req)
 	}
-	r.addIncrease(0, 1.5)
+	r.add(0, Request{Factor: 1.5})
 	if req := r[0]; req.Factor != 1.1 {
 		t.Errorf("larger increase overwrote smaller: %+v", req)
 	}
 	// A reduction overrides any increase.
-	r.addReduce(0, 0.9)
+	r.add(0, Request{Reduce: true, Factor: 0.9})
 	if req := r[0]; !req.Reduce || req.Factor != 0.9 {
 		t.Errorf("reduce did not override: %+v", req)
 	}
 	// Later increases cannot displace a reduction.
-	r.addIncrease(0, 1.1)
+	r.add(0, Request{Factor: 1.1})
 	if req := r[0]; !req.Reduce {
 		t.Errorf("increase displaced a reduction: %+v", req)
 	}
 	// Among reductions the largest cut (smallest factor) wins.
-	r.addReduce(0, 0.5)
+	r.add(0, Request{Reduce: true, Factor: 0.5})
 	if req := r[0]; req.Factor != 0.5 {
 		t.Errorf("reduce aggregation = %+v", req)
 	}
-	r.addReduce(0, 0.9)
+	r.add(0, Request{Reduce: true, Factor: 0.9})
 	if req := r[0]; req.Factor != 0.5 {
 		t.Errorf("weaker reduce overwrote stronger: %+v", req)
 	}
 }
 
-func TestAddAllHelpers(t *testing.T) {
-	r := make(reqSet)
-	flows := map[packet.FlowID]topology.NodeID{1: 10, 2: 20}
-	r.addReduceAll(flows, 0.9)
-	if len(r) != 2 || !r[1].Reduce || !r[2].Reduce {
-		t.Errorf("addReduceAll = %v", r)
+// emitted is one request sourceBuffer emitted, with its attribution.
+type emitted struct {
+	req  Request
+	cond obs.Condition
+}
+
+func TestSourceBuffer(t *testing.T) {
+	q := packet.QueueForDest(9)
+	up := func(from topology.NodeID, mu float64, typ measure.LinkType, flows ...packet.FlowID) *measure.VLinkState {
+		prim := make(map[packet.FlowID]topology.NodeID)
+		for _, f := range flows {
+			prim[f] = from
+		}
+		return &measure.VLinkState{Key: forwarding.VLinkKey{From: from, To: 0, Queue: q}, NormRate: mu, Primaries: prim, Type: typ}
 	}
-	r2 := make(reqSet)
-	r2.addIncreaseAll(flows, 1.1)
-	if len(r2) != 2 || r2[1].Reduce {
-		t.Errorf("addIncreaseAll = %v", r2)
+	buf, bw := measure.BufferSaturated, measure.BandwidthSaturated
+	down, incr := Request{Reduce: true, Factor: 0.9}, Request{Factor: 1.1}
+	halve, double := Request{Reduce: true, Factor: 0.5}, Request{Factor: 2}
+	tests := []struct {
+		name   string
+		ups    []*measure.VLinkState
+		locals []localFlow
+		want   map[packet.FlowID]emitted
+	}{
+		{
+			name: "beta-equal rates are a no-op",
+			ups:  []*measure.VLinkState{up(1, 100, buf, 1), up(2, 91, buf, 2)},
+			want: map[packet.FlowID]emitted{},
+		},
+		{
+			name: "narrow gap steps by beta on every primary",
+			ups:  []*measure.VLinkState{up(1, 100, buf, 1, 2), up(2, 80, buf, 3)},
+			want: map[packet.FlowID]emitted{
+				1: {down, obs.CondBuffer}, 2: {down, obs.CondBuffer}, 3: {incr, obs.CondBuffer},
+			},
+		},
+		{
+			name: "gap past HalveGap halves and doubles",
+			ups:  []*measure.VLinkState{up(1, 100, buf, 1), up(2, 10, buf, 2)},
+			want: map[packet.FlowID]emitted{1: {halve, obs.CondBuffer}, 2: {double, obs.CondBuffer}},
+		},
+		{
+			name: "gap of exactly HalveGap still steps by beta",
+			ups:  []*measure.VLinkState{up(1, 90, buf, 1), up(2, 30, buf, 2)},
+			want: map[packet.FlowID]emitted{1: {down, obs.CondBuffer}, 2: {incr, obs.CondBuffer}},
+		},
+		{
+			name: "only buffer-saturated upstream links set S1",
+			ups:  []*measure.VLinkState{up(1, 100, bw, 1), up(2, 10, bw, 2)},
+			want: map[packet.FlowID]emitted{},
+		},
+		{
+			name:   "local flows without a completed period are ignored",
+			ups:    []*measure.VLinkState{up(1, 100, buf, 1)},
+			locals: []localFlow{{id: 7, mu: 0, limited: true}},
+			want:   map[packet.FlowID]emitted{},
+		},
+		{
+			name:   "a local flow is increased only when limited",
+			ups:    []*measure.VLinkState{up(1, 100, bw, 1)},
+			locals: []localFlow{{id: 7, mu: 50, limited: true}, {id: 8, mu: 50}},
+			want:   map[packet.FlowID]emitted{1: {down, obs.CondSource}, 7: {incr, obs.CondSource}},
+		},
+		{
+			name:   "a local flow at L1 is reduced",
+			ups:    []*measure.VLinkState{up(1, 20, buf, 1)},
+			locals: []localFlow{{id: 7, mu: 50}},
+			want:   map[packet.FlowID]emitted{7: {down, obs.CondSource}, 1: {incr, obs.CondSource}},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got := make(map[packet.FlowID]emitted)
+			DefaultParams().sourceBuffer(tt.ups, tt.locals, func(f packet.FlowID, req Request, cond obs.Condition, via *measure.VLinkState) {
+				if _, dup := got[f]; dup {
+					t.Errorf("flow %d emitted twice", f)
+				}
+				if (via == nil) != (f >= 7) {
+					t.Errorf("flow %d: via = %v", f, via)
+				}
+				got[f] = emitted{req, cond}
+			})
+			if !reflect.DeepEqual(got, tt.want) {
+				t.Errorf("emitted %v, want %v", got, tt.want)
+			}
+		})
 	}
 }
 
@@ -152,8 +229,7 @@ func emptySnap() *measure.Snapshot {
 
 func TestApplyReduceSetsLimitFromRate(t *testing.T) {
 	h := newEngineHarness(t)
-	reqs := map[packet.FlowID]Request{0: {Reduce: true, Factor: 0.5}}
-	h.engine.apply(reqs, []float64{200}, emptySnap())
+	h.engine.applyLimit(h.src, Request{Reduce: true, Factor: 0.5}, true, 200, true)
 	limit, ok := h.src.Limited()
 	if !ok || math.Abs(limit-100) > 1e-9 {
 		t.Errorf("limit = %v,%v; want 100", limit, ok)
@@ -163,8 +239,7 @@ func TestApplyReduceSetsLimitFromRate(t *testing.T) {
 func TestApplyReduceUsesTighterOfRateAndLimit(t *testing.T) {
 	h := newEngineHarness(t)
 	h.src.SetLimit(50)
-	reqs := map[packet.FlowID]Request{0: {Reduce: true, Factor: 0.9}}
-	h.engine.apply(reqs, []float64{200}, emptySnap())
+	h.engine.applyLimit(h.src, Request{Reduce: true, Factor: 0.9}, true, 200, true)
 	limit, _ := h.src.Limited()
 	if math.Abs(limit-45) > 1e-9 {
 		t.Errorf("limit = %v, want 45 (0.9 x min(200, 50))", limit)
@@ -174,8 +249,7 @@ func TestApplyReduceUsesTighterOfRateAndLimit(t *testing.T) {
 func TestApplyIncreaseScalesLimit(t *testing.T) {
 	h := newEngineHarness(t)
 	h.src.SetLimit(100)
-	reqs := map[packet.FlowID]Request{0: {Factor: 1.1}}
-	h.engine.apply(reqs, []float64{100}, emptySnap())
+	h.engine.applyLimit(h.src, Request{Factor: 1.1}, true, 100, true)
 	limit, _ := h.src.Limited()
 	if math.Abs(limit-110) > 1e-9 {
 		t.Errorf("limit = %v, want 110", limit)
@@ -184,8 +258,7 @@ func TestApplyIncreaseScalesLimit(t *testing.T) {
 
 func TestApplyIncreaseNoOpWhenUnlimited(t *testing.T) {
 	h := newEngineHarness(t)
-	reqs := map[packet.FlowID]Request{0: {Factor: 2}}
-	h.engine.apply(reqs, []float64{100}, emptySnap())
+	h.engine.applyLimit(h.src, Request{Factor: 2}, true, 100, true)
 	if _, ok := h.src.Limited(); ok {
 		t.Error("increase created a limit out of nothing")
 	}
@@ -194,9 +267,9 @@ func TestApplyIncreaseNoOpWhenUnlimited(t *testing.T) {
 func TestRateLimitConditionAdditiveIncrease(t *testing.T) {
 	h := newEngineHarness(t)
 	h.src.SetLimit(100)
-	snap := emptySnap()
-	// Running at the limit: probe upward by the additive step.
-	h.engine.apply(nil, []float64{99}, snap)
+	// Running at the limit: probe upward by the additive step, idle or
+	// not.
+	h.engine.applyLimit(h.src, Request{}, false, 99, true)
 	limit, _ := h.src.Limited()
 	want := 100 + DefaultParams().AdditiveIncrease
 	if math.Abs(limit-want) > 1e-9 {
@@ -218,6 +291,9 @@ func TestUnnecessaryLimitRemovedAfterTwoSlackRounds(t *testing.T) {
 	}
 }
 
+// TestLimitKeptWhileSourceQueueSaturated covers the engine's idle
+// verdict: a source virtual node with Ω above idleOmega is busy, so a
+// flow running under its limit probes instead of shedding it.
 func TestLimitKeptWhileSourceQueueSaturated(t *testing.T) {
 	h := newEngineHarness(t)
 	h.src.SetLimit(100)
@@ -228,20 +304,72 @@ func TestLimitKeptWhileSourceQueueSaturated(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.engine.apply(nil, []float64{50}, snap)
 	}
-	if _, ok := h.src.Limited(); !ok {
-		t.Error("limit removed while the source was backpressured")
+	limit, ok := h.src.Limited()
+	if !ok {
+		t.Fatal("limit removed while the source was backpressured")
+	}
+	if want := 100 + 5*DefaultParams().AdditiveIncrease; math.Abs(limit-want) > 1e-9 {
+		t.Errorf("limit = %v, want %v (five probes)", limit, want)
 	}
 }
 
 func TestSlackCounterResets(t *testing.T) {
 	h := newEngineHarness(t)
 	h.src.SetLimit(100)
-	idle := emptySnap()
-	h.engine.apply(nil, []float64{50}, idle) // slack 1
-	h.engine.apply(nil, []float64{99}, idle) // at limit: resets slack
-	h.engine.apply(nil, []float64{50}, idle) // slack 1 again
+	h.engine.applyLimit(h.src, Request{}, false, 50, true) // slack 1
+	h.engine.applyLimit(h.src, Request{}, false, 99, true) // at limit: resets slack
+	h.engine.applyLimit(h.src, Request{}, false, 50, true) // slack 1 again
 	if _, ok := h.src.Limited(); !ok {
 		t.Error("limit removed despite the slack streak being broken")
+	}
+}
+
+// TestApplyLimitIdleVersusProbe pins the rate-limit rule's split: a
+// flow more than β under its limit sheds the limit on the second idle
+// round; a busy source, or one running at its limit, probes upward.
+func TestApplyLimitIdleVersusProbe(t *testing.T) {
+	step := DefaultParams().AdditiveIncrease
+	tests := []struct {
+		name string
+		rate float64
+		idle bool
+		want [2]float64 // limit after rounds 1 and 2; -1 = removed
+	}{
+		{"under the limit and idle: removed after two rounds", 50, true, [2]float64{100, -1}},
+		{"under the limit but busy: probes", 50, false, [2]float64{100 + step, 100 + 2*step}},
+		{"at the limit and idle: probes", 95, true, [2]float64{100 + step, 100 + 2*step}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			h := newEngineHarness(t)
+			h.src.SetLimit(100)
+			for round, want := range tt.want {
+				h.engine.applyLimit(h.src, Request{}, false, tt.rate, tt.idle)
+				got := -1.0
+				if l, ok := h.src.Limited(); ok {
+					got = l
+				}
+				if math.Abs(got-want) > 1e-9 {
+					t.Errorf("round %d: limit %v, want %v", round+1, got, want)
+				}
+			}
+			if s := h.engine.slack[0]; s != 0 {
+				t.Errorf("slack streak %d left after a removal or probe", s)
+			}
+		})
+	}
+}
+
+func TestApplyLimitLeavesDepartedFlowAlone(t *testing.T) {
+	h := newEngineHarness(t)
+	h.engine.slack[0] = 1
+	h.src.Teardown()
+	h.engine.applyLimit(h.src, Request{Reduce: true, Factor: 0.5}, true, 200, true)
+	if _, ok := h.src.Limited(); ok {
+		t.Error("limit installed on a departed flow")
+	}
+	if _, ok := h.engine.slack[0]; ok {
+		t.Error("departed flow kept its slack streak")
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"gmp/internal/clique"
@@ -79,13 +78,14 @@ type violationMsg struct {
 
 // Agent is one node's GMP instance in the distributed runtime.
 type Agent struct {
-	id     topology.NodeID
-	params Params
-	sched  *sim.Scheduler
-	topo   *topology.Topology
-	node   *forwarding.Node
-	diss   *dissemination.Agent
-	board  *measure.OccupancyBoard
+	conditions
+
+	id    topology.NodeID
+	sched *sim.Scheduler
+	topo  *topology.Topology
+	node  *forwarding.Node
+	diss  *dissemination.Agent
+	board *measure.OccupancyBoard
 
 	// myCliques holds, per adjacent outgoing link, the cliques that
 	// contain it (precomputed from two-hop topology, §6.3).
@@ -109,16 +109,8 @@ type Agent struct {
 	saturated map[packet.QueueID]bool
 	rates     map[packet.FlowID]float64
 
-	pending reqSet
-	slack   map[packet.FlowID]int
-
 	violations int64 // bandwidth-condition violations originated (stats)
 	vReceived  int64 // violation messages processed (stats)
-
-	// rec is the telemetry recorder (nil when telemetry is off).
-	rec *obs.Recorder
-	// spans is the causal-trace recorder (nil when tracing is off).
-	spans *span.Recorder
 }
 
 // ViolationsReceived reports processed violation messages.
@@ -139,8 +131,8 @@ func NewAgent(id topology.NodeID, sched *sim.Scheduler, topo *topology.Topology,
 		return nil, fmt.Errorf("core: agent %d needs a request delivery path", id)
 	}
 	a := &Agent{
+		conditions: newConditions(params),
 		id:         id,
-		params:     params,
 		sched:      sched,
 		topo:       topo,
 		node:       node,
@@ -151,8 +143,6 @@ func NewAgent(id topology.NodeID, sched *sim.Scheduler, topo *topology.Topology,
 		deliver:    deliver,
 		lsdb:       make(map[topology.Link]linkStateRecord),
 		satdb:      make(map[measure.VNodeID]bool),
-		pending:    make(reqSet),
-		slack:      make(map[packet.FlowID]int),
 		rates:      make(map[packet.FlowID]float64),
 	}
 	a.RefreshCliques(cliques)
@@ -188,13 +178,7 @@ func (a *Agent) AttachLocalFlow(spec flow.Spec, src *flow.Source) {
 // Enqueue records an incoming rate adjustment request for a local flow
 // (the delivery side of the control packet), applying §6.3's
 // aggregation rule.
-func (a *Agent) Enqueue(f packet.FlowID, req Request) {
-	if req.Reduce {
-		a.pending.addReduce(f, req.Factor)
-	} else {
-		a.pending.addIncrease(f, req.Factor)
-	}
-}
+func (a *Agent) Enqueue(f packet.FlowID, req Request) { a.pending.add(f, req) }
 
 // Start schedules the agent's period boundaries; offset desynchronizes
 // nodes ("loosely synchronized clocks", §6.1).
@@ -238,71 +222,18 @@ func (a *Agent) measure() {
 }
 
 // applyPending delivers the aggregated requests to the local sources and
-// runs the rate-limit condition (§6.3).
+// runs the rate-limit condition (§6.3). A limit is idle while the
+// source queue reads a full fraction under idleOmega and the queue is
+// not saturated. measure() has already closed the full-fraction window
+// at this same instant, so that read is 0 and the saturation bit alone
+// decides; reading the Ω measure() took instead would change behavior.
 func (a *Agent) applyPending() {
 	for i, src := range a.localSources {
 		f := a.localFlows[i].ID
-		if src.Stopped() {
-			// Never install a limit on a departed flow: its final
-			// partial period's rate would freeze into a stale limit.
-			delete(a.slack, f)
-			continue
-		}
+		q := packet.QueueForDest(a.localFlows[i].Dst)
 		req, has := a.pending[f]
-		limit, limited := src.Limited()
-		rate := a.rates[f]
-		before := -1.0
-		if limited {
-			before = limit
-		}
-		var action obs.LimitAction
-		switch {
-		case has && req.Reduce:
-			base := rate
-			if limited && limit < base {
-				base = limit
-			}
-			src.SetLimit(base * req.Factor)
-			action = obs.ActionReduce
-		case has && !req.Reduce:
-			if limited {
-				src.SetLimit(limit * req.Factor)
-				action = obs.ActionIncrease
-			}
-		default:
-			if limited {
-				const idleOmega = 0.05
-				if rate < limit*(1-a.params.Beta) && a.node.FullFraction(packet.QueueForDest(a.localFlows[i].Dst), a.params.Period) < idleOmega && !a.saturated[packet.QueueForDest(a.localFlows[i].Dst)] {
-					a.slack[f]++
-					if a.slack[f] >= 2 {
-						src.RemoveLimit()
-						a.slack[f] = 0
-						action = obs.ActionRemove
-					}
-				} else {
-					a.slack[f] = 0
-					src.SetLimit(limit + a.params.AdditiveIncrease)
-					action = obs.ActionProbe
-				}
-			}
-		}
-		if action != "" {
-			after := -1.0
-			if l, ok := src.Limited(); ok {
-				after = l
-			}
-			if a.rec != nil {
-				a.rec.LimitChange(f, action, before, after)
-				if action == obs.ActionProbe || action == obs.ActionRemove {
-					factor := 0.0
-					if action == obs.ActionProbe && before > 0 && after > 0 {
-						factor = after / before
-					}
-					a.rec.Condition(f, a.id, obs.CondRateLimit, false, factor)
-				}
-			}
-			a.spans.LimitChange(f, a.id, string(action), before, after)
-		}
+		idle := a.node.FullFraction(q, a.params.Period) < idleOmega && !a.saturated[q]
+		a.applyLimit(src, req, has, a.rates[f], idle)
 	}
 	a.pending = make(reqSet)
 }
@@ -382,11 +313,6 @@ func (a *Agent) onDissemination(origin topology.NodeID, records any) {
 	}
 }
 
-func (a *Agent) eq(x, y float64) bool {
-	m := math.Max(math.Abs(x), math.Abs(y))
-	return math.Abs(x-y) <= a.params.Beta*m
-}
-
 // vnodeSaturated resolves a virtual node's saturation bit: own queues
 // from local measurement, neighbors' from the disseminated bits. The
 // final destination consumes instantly and is never saturated.
@@ -428,90 +354,23 @@ func (a *Agent) testSourceAndBuffer() {
 		if !a.saturated[qid] {
 			continue
 		}
-		var ups []*forwarding.VLinkMeter
-		var upKeys []forwarding.VLinkKey
+		var ups []*measure.VLinkState
 		for key, m := range a.inMeters {
 			if key.Queue == qid && key.To == a.id {
-				ups = append(ups, m)
-				upKeys = append(upKeys, key)
+				ups = append(ups, &measure.VLinkState{Key: key, NormRate: m.Primary.NormRate, Primaries: m.Primary.Flows, Type: a.vlinkType(key)})
 			}
 		}
-		l1 := 0.0
-		s1 := math.Inf(1)
-		for i, up := range ups {
-			mu := up.Primary.NormRate
-			if mu > l1 {
-				l1 = mu
-			}
-			if a.vlinkType(upKeys[i]) == measure.BufferSaturated && mu > 0 && mu < s1 {
-				s1 = mu
+		var locals []localFlow
+		for i, spec := range a.localFlows {
+			if packet.QueueForDest(spec.Dst) == qid {
+				_, limited := a.localSources[i].Limited()
+				locals = append(locals, localFlow{id: spec.ID, mu: a.localSources[i].NormRate(), limited: limited})
 			}
 		}
-		var localMu []float64
-		for i := range a.localFlows {
-			if packet.QueueForDest(a.localFlows[i].Dst) != qid {
-				localMu = append(localMu, -1)
-				continue
-			}
-			mu := a.localSources[i].NormRate()
-			localMu = append(localMu, mu)
-			if mu == 0 {
-				continue
-			}
-			if mu > l1 {
-				l1 = mu
-			}
-			if mu < s1 {
-				s1 = mu
-			}
-		}
-		if math.IsInf(s1, 1) || l1 == 0 || a.eq(s1, l1) {
-			continue
-		}
-		wide := l1 > a.params.HalveGap*s1
-		down, up := 1-a.params.Beta, 1+a.params.Beta
-		if wide {
-			down, up = 0.5, 2
-		}
-		// Telemetry attribution: the source condition when this queue
-		// hosts local flow sources, the buffer-saturated one otherwise.
-		cond := obs.CondBuffer
-		for i := range a.localFlows {
-			if packet.QueueForDest(a.localFlows[i].Dst) == qid {
-				cond = obs.CondSource
-				break
-			}
-		}
-		for i, upm := range ups {
-			mu := upm.Primary.NormRate
-			if a.eq(mu, l1) {
-				a.deliverAll(upm.Primary.Flows, Request{Reduce: true, Factor: down}, cond, "")
-			}
-			if a.vlinkType(upKeys[i]) == measure.BufferSaturated && a.eq(mu, s1) {
-				a.deliverAll(upm.Primary.Flows, Request{Factor: up}, cond, "")
-			}
-		}
-		for i := range a.localFlows {
-			mu := localMu[i]
-			if mu <= 0 {
-				continue
-			}
-			f := a.localFlows[i].ID
-			if a.eq(mu, l1) {
-				if a.rec != nil {
-					a.rec.Condition(f, a.id, cond, true, down)
-				}
-				a.spans.Condition(f, a.id, cond.String(), true, down, "", nil, 0)
-				a.deliver(f, Request{Reduce: true, Factor: down})
-			}
-			if _, limited := a.localSources[i].Limited(); limited && a.eq(mu, s1) {
-				if a.rec != nil {
-					a.rec.Condition(f, a.id, cond, false, up)
-				}
-				a.spans.Condition(f, a.id, cond.String(), false, up, "", nil, 0)
-				a.deliver(f, Request{Factor: up})
-			}
-		}
+		a.params.sourceBuffer(ups, locals, func(f packet.FlowID, req Request, cond obs.Condition, _ *measure.VLinkState) {
+			a.record(f, a.id, cond, req, "", nil, 0)
+			a.deliver(f, req)
+		})
 	}
 }
 
@@ -541,22 +400,7 @@ func (a *Agent) testBandwidth() {
 		if len(owners) == 0 {
 			continue
 		}
-		maxOcc := 0.0
-		occ := make([]float64, len(owners))
-		for i, c := range owners {
-			for _, l := range c.Links {
-				occ[i] += a.occupancyOf(l) + a.occupancyOf(l.Reverse())
-			}
-			if occ[i] > maxOcc {
-				maxOcc = occ[i]
-			}
-		}
-		var saturated []*clique.Clique
-		for i, c := range owners {
-			if a.eq(occ[i], maxOcc) {
-				saturated = append(saturated, c)
-			}
-		}
+		saturated, _, _ := a.params.saturatedCliques(owners, a.occupancyOf)
 		// Toppedness is judged with a doubled tolerance: the remote
 		// normalized rates in this view are a dissemination round stale,
 		// and an originator that keeps crying wolf inside the noise band
@@ -565,12 +409,7 @@ func (a *Agent) testBandwidth() {
 		topped := false
 		l2 := 0.0
 		for _, c := range saturated {
-			cliqueMax := 0.0
-			for _, l := range c.Links {
-				if mu := a.muOf(l); mu > cliqueMax {
-					cliqueMax = mu
-				}
-			}
+			cliqueMax := maxOver(c.Links, a.muOf)
 			if cliqueMax > l2 {
 				l2 = cliqueMax
 			}
@@ -593,13 +432,14 @@ func (a *Agent) testBandwidth() {
 	}
 }
 
-// occupancyOf reads a directed link's channel occupancy: locally for
-// adjacent links, from the dissemination database otherwise.
+// occupancyOf reads a wireless link's channel occupancy over both
+// directions: locally for adjacent links, from the dissemination
+// database otherwise.
 func (a *Agent) occupancyOf(l topology.Link) float64 {
 	if l.From == a.id || l.To == a.id {
-		return a.board.Fraction(l)
+		return a.board.Fraction(l) + a.board.Fraction(l.Reverse())
 	}
-	return a.lsdb[l].Occupancy
+	return a.lsdb[l].Occupancy + a.lsdb[l.Reverse()].Occupancy
 }
 
 // muOf reads a wireless link's normalized rate (max of both directions).
@@ -641,15 +481,11 @@ func (a *Agent) onViolation(v violationMsg) {
 		// maximum, and raise own bandwidth-saturated links at or below
 		// the starved rate μ*. Both rules are monotone toward the
 		// bandwidth-saturated condition's fixed point.
-		localMax := 0.0
-		for _, l := range c.Links {
-			if mu := a.muOf(l); mu > localMax {
-				localMax = mu
-			}
-		}
+		localMax := maxOver(c.Links, a.muOf)
 		if localMax == 0 {
 			continue
 		}
+		reduce, increase := Request{Reduce: true, Factor: 1 - a.params.Beta}, Request{Factor: 1 + a.params.Beta}
 		for _, l := range c.Links {
 			for _, dir := range []topology.Link{l, l.Reverse()} {
 				if dir.From != a.id {
@@ -661,40 +497,20 @@ func (a *Agent) onViolation(v violationMsg) {
 					}
 					mu := m.Primary.NormRate
 					if mu > 0 && mu >= localMax*(1-a.params.Beta) && mu > v.MuStar*(1+a.params.Beta) {
-						a.deliverAll(m.Primary.Flows, Request{Reduce: true, Factor: 1 - a.params.Beta}, obs.CondBandwidth, id.String())
+						for f := range m.Primary.Flows {
+							a.record(f, a.id, obs.CondBandwidth, reduce, id.String(), nil, 0)
+							a.deliver(f, reduce)
+						}
 					}
 					if a.vlinkType(key) == measure.BandwidthSaturated && mu > 0 && mu <= v.MuStar*(1+a.params.Beta) {
-						a.deliverAll(m.Primary.Flows, Request{Factor: 1 + a.params.Beta}, obs.CondBandwidth, id.String())
+						for f := range m.Primary.Flows {
+							a.record(f, a.id, obs.CondBandwidth, increase, id.String(), nil, 0)
+							a.deliver(f, increase)
+						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// deliverAll hands a request to every flow in the set and, with
-// telemetry or tracing on, records the condition that generated it —
-// in flow-ID order so neither stream inherits map iteration order.
-// cliqueID carries the bandwidth-condition provenance for the span
-// recorder ("" for source and buffer conditions).
-func (a *Agent) deliverAll(flows map[packet.FlowID]topology.NodeID, req Request, cond obs.Condition, cliqueID string) {
-	if a.rec == nil && a.spans == nil {
-		for f := range flows {
-			a.deliver(f, req)
-		}
-		return
-	}
-	ids := make([]packet.FlowID, 0, len(flows))
-	for f := range flows {
-		ids = append(ids, f)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, f := range ids {
-		if a.rec != nil {
-			a.rec.Condition(f, a.id, cond, req.Reduce, req.Factor)
-		}
-		a.spans.Condition(f, a.id, cond.String(), req.Reduce, req.Factor, cliqueID, nil, 0)
-		a.deliver(f, req)
 	}
 }
 
@@ -738,14 +554,12 @@ func (d *Distributed) SetSpans(r *span.Recorder) {
 // flow left on its source's agent (pending request, slack streak), so
 // long churn runs do not accumulate state for dead flows.
 func (d *Distributed) OnFlowDeparted(f packet.FlowID, src topology.NodeID) {
-	a := d.Agents[src]
-	delete(a.slack, f)
-	delete(a.pending, f)
+	d.Agents[src].forget(f)
 }
 
-// RefreshCliques pushes a new clique decomposition to every agent after
-// a topology change under mobility.
-func (d *Distributed) RefreshCliques(cliques *clique.Set) {
+// SetCliques pushes a new clique decomposition to every agent after a
+// topology change under mobility.
+func (d *Distributed) SetCliques(cliques *clique.Set) {
 	for _, a := range d.Agents {
 		a.RefreshCliques(cliques)
 	}

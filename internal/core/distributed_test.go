@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -157,5 +158,49 @@ func TestNewAgentValidation(t *testing.T) {
 	_, err = NewAgent(0, sim.NewScheduler(), topo, clique.Build(topo), nil, nil, nil, bad, func(packet.FlowID, Request) {})
 	if err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// TestAgentSourceBufferReadsMeters drives the agent's source-condition
+// inputs: upstream links come from its receiver-side meters, typed by
+// the saturation bits it holds, and local flows from its own sources.
+func TestAgentSourceBufferReadsMeters(t *testing.T) {
+	st := newDistStack(t, scenario.Fig3())
+	st.sched.Run(10 * time.Second)
+	// Node 1 relays flow 0 (0→3) and sources flow 1 (1→3), both in its
+	// queue toward node 3.
+	a := st.dist.Agents[1]
+	q := packet.QueueForDest(3)
+	src := a.localSources[0]
+	mu := src.NormRate()
+	if mu == 0 {
+		t.Fatal("local flow has no completed period")
+	}
+	src.SetLimit(1e6)
+	key := forwarding.VLinkKey{From: 0, To: 1, Queue: q}
+	a.inMeters = map[forwarding.VLinkKey]*forwarding.VLinkMeter{
+		key: {Primary: forwarding.PrimaryInfo{NormRate: mu / 10, Flows: map[packet.FlowID]topology.NodeID{0: 0}}},
+	}
+	a.saturated = map[packet.QueueID]bool{q: true}
+	got := make(map[packet.FlowID]Request)
+	a.deliver = func(f packet.FlowID, req Request) { got[f] = req }
+
+	// Both ends saturated: a buffer-saturated upstream link starved to a
+	// tenth of the local flow's rate. Halve the local flow, double the
+	// upstream primary.
+	a.satdb[measure.VNodeID{Node: 0, Queue: q}] = true
+	a.testSourceAndBuffer()
+	want := map[packet.FlowID]Request{1: {Reduce: true, Factor: 0.5}, 0: {Factor: 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("requests %v, want %v", got, want)
+	}
+
+	// Upstream sender unsaturated: the link is not buffer-saturated, so
+	// S1 is the local flow's own rate and the condition holds.
+	clear(got)
+	a.satdb[measure.VNodeID{Node: 0, Queue: q}] = false
+	a.testSourceAndBuffer()
+	if len(got) != 0 {
+		t.Errorf("requests %v with an unsaturated upstream sender, want none", got)
 	}
 }

@@ -35,8 +35,11 @@ import (
 // benchRun executes one simulation per benchmark iteration (seed i+1)
 // and reports the cross-iteration mean of the paper's metrics, so the
 // reported numbers average over every seed the benchmark ran instead of
-// echoing only the last one. It returns the cross-seed summary plus the
-// individual results for callers that need per-run fields.
+// echoing only the last one. The changing seed is deliberate: the table
+// benchmarks report a cross-seed estimate, while the speed benchmarks
+// below fix the seed so every iteration repeats one workload. It returns
+// the cross-seed summary plus the individual results for callers that
+// need per-run fields.
 func benchRun(b *testing.B, cfg Config) (SweepSummary, []*Result) {
 	b.Helper()
 	results := make([]*Result, 0, b.N)
@@ -218,12 +221,12 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg := Config{
 		Scenario: Fig4Scenario(),
 		Protocol: Protocol80211,
+		Seed:     1,
 		Duration: 20 * time.Second,
 		Warmup:   10 * time.Second,
 	}
 	var tx int64
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		res, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -247,6 +250,7 @@ func BenchmarkChurnOverhead(b *testing.B) {
 	cfg := Config{
 		Scenario: sc,
 		Protocol: ProtocolGMP,
+		Seed:     1,
 		Duration: 20 * time.Second,
 		Warmup:   10 * time.Second,
 		Churn: &ChurnConfig{
@@ -260,7 +264,6 @@ func BenchmarkChurnOverhead(b *testing.B) {
 	}
 	var tx int64
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		res, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -519,6 +522,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			cfg := Config{
 				Scenario:  Fig4Scenario(),
 				Protocol:  Protocol80211,
+				Seed:      1,
 				Duration:  20 * time.Second,
 				Warmup:    10 * time.Second,
 				Telemetry: mode.tcfg,
@@ -527,7 +531,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
 				res, err := Run(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -555,6 +558,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 			cfg := Config{
 				Scenario: Fig4Scenario(),
 				Protocol: Protocol80211,
+				Seed:     1,
 				Duration: 20 * time.Second,
 				Warmup:   10 * time.Second,
 				Spans:    mode.scfg,
@@ -563,7 +567,6 @@ func BenchmarkSpanOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
 				res, err := Run(cfg)
 				if err != nil {
 					b.Fatal(err)

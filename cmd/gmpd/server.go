@@ -52,6 +52,12 @@ const resultVersion = "gmpd-result-v1"
 // maxSeeds bounds a single sweep so a typo cannot queue a year of work.
 const maxSeeds = 4096
 
+// maxSubmitBytes bounds a POST /v1/jobs body, which a client could
+// otherwise make the server buffer without limit. Inline scenarios are
+// the bulk of a body: a 2000-node CityScenario serializes to about
+// 128 KB and a 10000-node one to about 630 KB.
+const maxSubmitBytes = 4 << 20
+
 // jobRequest is the POST /v1/jobs body. Exactly one of ScenarioName
 // (registry lookup) and Scenario (inline scenario JSON, the gmpsim file
 // format) must be set.
@@ -416,10 +422,15 @@ func jobKeys(sc gmp.Scenario, spec canonicalSpec, seeds int) ([]resultcache.Key,
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req jobRequest
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxSubmitBytes)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gmp"
 	"gmp/internal/obs"
 	"gmp/internal/span"
 )
@@ -317,6 +318,48 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitBodyLimit checks both sides of the submission size bound.
+// Bodies the server reads in full fail validation on their protocol, so
+// no simulation runs: the inline 2000-node city job the benchmark
+// submits and a body of exactly maxSubmitBytes get 400 naming the
+// protocol; one byte more gets 413 before any validation.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	wantRead := func(name, body string) {
+		t.Helper()
+		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "tcp") {
+			t.Errorf("%s (%d bytes): status %d %s, want 400 naming the protocol", name, len(body), code, msg)
+		}
+	}
+
+	sc, err := gmp.CityScenario(2000, 8, 24, 220, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inline bytes.Buffer
+	if err := gmp.SaveScenario(&inline, sc); err != nil {
+		t.Fatal(err)
+	}
+	wantRead("city job", `{"scenario":`+inline.String()+`,"protocol":"tcp","duration_s":2}`)
+
+	head, tail := `{"scenario_name":"fig3","protocol":"tcp"`, `}`
+	pad := func(n int) string { return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail }
+	wantRead("body at the bound", pad(maxSubmitBytes))
+	if code, msg := post(pad(maxSubmitBytes + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body one byte past the bound: status %d %s, want 413", code, msg)
 	}
 }
 

@@ -112,6 +112,11 @@ type Source struct {
 	generateFn  func()
 	queueOpenFn func()
 
+	// refused is the packet the local queue last turned away; the next
+	// attempt rewrites and reuses it, so a source held back by a full
+	// queue allocates only for packets that are admitted.
+	refused *packet.Packet
+
 	// spans, when non-nil, receives causal-trace events for sampled
 	// packets (source backpressure). Purely observational.
 	spans *span.Recorder
@@ -258,7 +263,12 @@ func (s *Source) generate() {
 	if s.stopped || s.halted {
 		return
 	}
-	p := &packet.Packet{
+	p := s.refused
+	if p == nil {
+		p = new(packet.Packet)
+	}
+	s.refused = nil
+	*p = packet.Packet{
 		Flow:      s.spec.ID,
 		Src:       s.spec.Src,
 		Dst:       s.spec.Dst,
@@ -275,6 +285,7 @@ func (s *Source) generate() {
 		if s.spans != nil {
 			s.spans.SourceBlocked(p)
 		}
+		s.refused = p
 		s.waiting = true
 		s.node.NotifyQueueOpen(s.qid, s.queueOpenFn)
 		return

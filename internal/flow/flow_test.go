@@ -38,7 +38,7 @@ func spec(rate float64, weight float64) Spec {
 func drain(node *forwarding.Node, sched *sim.Scheduler, every time.Duration) {
 	var tick func()
 	tick = func() {
-		for node.NextOutgoing() != nil {
+		for _, ok := node.NextOutgoing(); ok; _, ok = node.NextOutgoing() {
 			// discard
 		}
 		sched.After(every, tick)
@@ -137,6 +137,25 @@ func TestBackpressurePausesSource(t *testing.T) {
 	}
 }
 
+// TestBlockedSourceReusesRefusedPacket checks that a source held back by
+// a full queue admits the very packet the queue refused, rewritten,
+// once the queue opens, instead of allocating a fresh one.
+func TestBlockedSourceReusesRefusedPacket(t *testing.T) {
+	node, sched := harness(t, 1)
+	src := NewSource(spec(800, 1), sched, node, testPeriod, sim.NewRand(3))
+	src.Start()
+	sched.Run(100 * time.Millisecond)
+	refused := src.refused
+	if refused == nil {
+		t.Fatal("source on a full queue holds no refused packet")
+	}
+	first, _ := node.NextOutgoing() // opens the queue; the source resumes
+	second, ok := node.NextOutgoing()
+	if !ok || second.Pkt != refused || second.Pkt.Seq != first.Pkt.Seq+1 || second.Pkt.Created != sched.Now() {
+		t.Fatalf("admitted %+v after %+v, want the refused packet %p renumbered and restamped", second.Pkt, first.Pkt, refused)
+	}
+}
+
 func TestEndPeriodRatesAndStamping(t *testing.T) {
 	node, sched := harness(t, 300) // deep queue: no draining needed
 	src := NewSource(spec(50, 2), sched, node, testPeriod, sim.NewRand(3))
@@ -155,12 +174,12 @@ func TestEndPeriodRatesAndStamping(t *testing.T) {
 	}
 	// Drain everything generated so far, then let one more period of
 	// packets accumulate: they must carry the stamp.
-	for node.NextOutgoing() != nil {
+	for _, ok := node.NextOutgoing(); ok; _, ok = node.NextOutgoing() {
 		// discard pre-period packets
 	}
 	sched.Run(2 * testPeriod)
-	out := node.NextOutgoing()
-	if out == nil {
+	out, ok := node.NextOutgoing()
+	if !ok {
 		t.Fatal("no post-period packet generated")
 	}
 	if !out.Pkt.Stamped {
@@ -176,8 +195,8 @@ func TestPacketsBeforeFirstPeriodUnstamped(t *testing.T) {
 	src := NewSource(spec(100, 1), sched, node, testPeriod, sim.NewRand(3))
 	src.Start()
 	sched.Run(100 * time.Millisecond)
-	out := node.NextOutgoing()
-	if out == nil {
+	out, ok := node.NextOutgoing()
+	if !ok {
 		t.Fatal("no packet generated")
 	}
 	if out.Pkt.Stamped {
@@ -348,7 +367,7 @@ func TestSetHaltedDefusesQueueOpenWaiter(t *testing.T) {
 
 	src.SetHalted(true)
 	atHalt := src.InjectedTotal()
-	for node.NextOutgoing() != nil {
+	for _, ok := node.NextOutgoing(); ok; _, ok = node.NextOutgoing() {
 		// queue-open transition fires here
 	}
 	sched.Run(5 * time.Second)

@@ -191,6 +191,61 @@ type nbrEntry struct {
 	at   time.Duration
 }
 
+// fifo is a packet FIFO over a reused backing array: pops advance a
+// head index, and a push that finds the array full first slides the
+// queued packets back to the front, so steady-state traffic neither
+// reslices away its capacity nor reallocates.
+type fifo struct {
+	pkts []*packet.Packet // pkts[head:] are queued, oldest first
+	head int
+}
+
+// len returns the number of queued packets; a nil fifo is empty.
+func (f *fifo) len() int {
+	if f == nil {
+		return 0
+	}
+	return len(f.pkts) - f.head
+}
+
+func (f *fifo) front() *packet.Packet { return f.pkts[f.head] }
+
+func (f *fifo) popFront() *packet.Packet {
+	p := f.pkts[f.head]
+	f.pkts[f.head] = nil
+	f.head++
+	if f.head == len(f.pkts) {
+		f.pkts, f.head = f.pkts[:0], 0
+	}
+	return p
+}
+
+func (f *fifo) pushBack(p *packet.Packet) {
+	if len(f.pkts) == cap(f.pkts) && f.head > 0 {
+		n := copy(f.pkts, f.pkts[f.head:])
+		clear(f.pkts[n:])
+		f.pkts, f.head = f.pkts[:n], 0
+	}
+	f.pkts = append(f.pkts, p)
+}
+
+func (f *fifo) pushFront(p *packet.Packet) {
+	if f.head == 0 {
+		f.pkts = append(f.pkts, nil)
+		copy(f.pkts[1:], f.pkts)
+		f.head = 1
+	}
+	f.head--
+	f.pkts[f.head] = p
+}
+
+// replaceTail puts p in place of the newest packet and returns that one.
+func (f *fifo) replaceTail(p *packet.Packet) *packet.Packet {
+	tail := f.pkts[len(f.pkts)-1]
+	f.pkts[len(f.pkts)-1] = p
+	return tail
+}
+
 // queue is one packet queue. In plain mode it is a single FIFO; with
 // fair aggregation it holds one sub-FIFO per packet origin (the local
 // source or each upstream neighbor) served round-robin, so a chatty
@@ -201,10 +256,10 @@ type queue struct {
 	fair bool
 
 	// Plain mode.
-	pkts []*packet.Packet
+	pkts fifo
 
 	// Fair-aggregation mode.
-	subs    map[topology.NodeID][]*packet.Packet
+	subs    map[topology.NodeID]*fifo
 	origins []topology.NodeID
 	rr      int
 	total   int
@@ -222,21 +277,30 @@ func (q *queue) length() int {
 	if q.fair {
 		return q.total
 	}
-	return len(q.pkts)
+	return q.pkts.len()
+}
+
+// sub returns origin's sub-FIFO, creating it (and its round-robin slot)
+// on first use.
+func (q *queue) sub(origin topology.NodeID) *fifo {
+	if q.subs == nil {
+		q.subs = make(map[topology.NodeID]*fifo)
+	}
+	f, ok := q.subs[origin]
+	if !ok {
+		f = &fifo{}
+		q.subs[origin] = f
+		q.origins = append(q.origins, origin)
+	}
+	return f
 }
 
 func (q *queue) push(p *packet.Packet, origin topology.NodeID) {
 	if !q.fair {
-		q.pkts = append(q.pkts, p)
+		q.pkts.pushBack(p)
 		return
 	}
-	if q.subs == nil {
-		q.subs = make(map[topology.NodeID][]*packet.Packet)
-	}
-	if _, ok := q.subs[origin]; !ok {
-		q.origins = append(q.origins, origin)
-	}
-	q.subs[origin] = append(q.subs[origin], p)
+	q.sub(origin).pushBack(p)
 	q.total++
 }
 
@@ -248,7 +312,7 @@ func (q *queue) headOrigin() (topology.NodeID, bool) {
 	}
 	for k := 0; k < len(q.origins); k++ {
 		origin := q.origins[(q.rr+k)%len(q.origins)]
-		if len(q.subs[origin]) > 0 {
+		if q.subs[origin].len() > 0 {
 			return origin, true
 		}
 	}
@@ -257,30 +321,28 @@ func (q *queue) headOrigin() (topology.NodeID, bool) {
 
 func (q *queue) peek() *packet.Packet {
 	if !q.fair {
-		if len(q.pkts) == 0 {
+		if q.pkts.len() == 0 {
 			return nil
 		}
-		return q.pkts[0]
+		return q.pkts.front()
 	}
 	origin, ok := q.headOrigin()
 	if !ok {
 		return nil
 	}
-	return q.subs[origin][0]
+	return q.subs[origin].front()
 }
 
 func (q *queue) pop() (*packet.Packet, topology.NodeID) {
 	if !q.fair {
-		p := q.pkts[0]
-		q.pkts = q.pkts[1:]
+		p := q.pkts.popFront()
 		return p, p.Src // origin unused in plain mode
 	}
 	origin, ok := q.headOrigin()
 	if !ok {
 		panic("forwarding: pop from empty fair queue")
 	}
-	p := q.subs[origin][0]
-	q.subs[origin] = q.subs[origin][1:]
+	p := q.subs[origin].popFront()
 	q.total--
 	// Advance round-robin past the origin just served.
 	for k, o := range q.origins {
@@ -296,16 +358,10 @@ func (q *queue) pop() (*packet.Packet, topology.NodeID) {
 // retry-exhaustion requeue).
 func (q *queue) pushFront(p *packet.Packet, origin topology.NodeID) {
 	if !q.fair {
-		q.pkts = append([]*packet.Packet{p}, q.pkts...)
+		q.pkts.pushFront(p)
 		return
 	}
-	if q.subs == nil {
-		q.subs = make(map[topology.NodeID][]*packet.Packet)
-	}
-	if _, ok := q.subs[origin]; !ok {
-		q.origins = append(q.origins, origin)
-	}
-	q.subs[origin] = append([]*packet.Packet{p}, q.subs[origin]...)
+	q.sub(origin).pushFront(p)
 	q.total++
 }
 
@@ -327,6 +383,7 @@ type Node struct {
 	nbrState map[topology.NodeID]map[packet.QueueID]nbrEntry
 
 	kickTimer sim.Timer
+	kickFn    func() // prebound kickMAC, so arming kickTimer allocates nothing
 
 	meters   map[VLinkKey]*VLinkMeter
 	received map[VLinkKey]*VLinkMeter
@@ -366,7 +423,7 @@ func NewNode(id topology.NodeID, sched *sim.Scheduler, cfg Config, routes *routi
 	if drop == nil {
 		drop = func(*packet.Packet, DropReason) {}
 	}
-	return &Node{
+	n := &Node{
 		id:       id,
 		sched:    sched,
 		cfg:      cfg,
@@ -380,6 +437,8 @@ func NewNode(id topology.NodeID, sched *sim.Scheduler, cfg Config, routes *routi
 
 		openWaiters: make(map[packet.QueueID][]func()),
 	}
+	n.kickFn = n.kickMAC
+	return n
 }
 
 // SetMAC attaches the MAC station (resolves the construction cycle between
@@ -415,9 +474,7 @@ func (n *Node) dropPkt(p *packet.Packet, reason DropReason) {
 // eligible.
 func (n *Node) SetRoutes(t *routing.Table) {
 	n.routes = t
-	if n.mac != nil {
-		n.mac.Kick()
-	}
+	n.kickMAC()
 }
 
 // DropAll empties every queue, reporting each packet with the given
@@ -523,7 +580,7 @@ func (n *Node) full(q *queue) bool {
 		return false
 	}
 	for _, o := range q.origins {
-		if len(q.subs[o]) < n.cfg.QueueSlots {
+		if q.subs[o].len() < n.cfg.QueueSlots {
 			return false
 		}
 	}
@@ -535,7 +592,7 @@ func (n *Node) fullFor(q *queue, o topology.NodeID) bool {
 	if !q.fair {
 		return q.length() >= n.cfg.QueueSlots
 	}
-	return len(q.subs[o]) >= n.cfg.QueueSlots
+	return q.subs[o].len() >= n.cfg.QueueSlots
 }
 
 // touchFullState updates the queue's full-time accounting after a
@@ -621,17 +678,15 @@ func (n *Node) Enqueue(p *packet.Packet) bool {
 	}
 	n.enqueued++
 	n.touchFullState(q)
-	if n.mac != nil {
-		n.mac.Kick()
-	}
+	n.kickMAC()
 	return true
 }
 
 // NextOutgoing implements mac.Client: round-robin over queues, skipping
 // (under congestion avoidance) queues whose downstream buffer is full.
-func (n *Node) NextOutgoing() *mac.Outgoing {
+func (n *Node) NextOutgoing() (mac.Outgoing, bool) {
 	if len(n.order) == 0 {
-		return nil
+		return mac.Outgoing{}, false
 	}
 	var earliestRetry time.Duration = -1
 	now := n.sched.Now()
@@ -665,27 +720,29 @@ func (n *Node) NextOutgoing() *mac.Outgoing {
 		pkt, origin := q.pop()
 		n.touchFullState(q)
 		n.rrOffset = (n.rrOffset + k + 1) % len(n.order)
-		return &mac.Outgoing{Pkt: pkt, NextHop: nh, Queue: qid, Origin: origin}
+		return mac.Outgoing{Pkt: pkt, NextHop: nh, Queue: qid, Origin: origin}, true
 	}
 	if earliestRetry >= 0 {
 		n.scheduleKick(earliestRetry)
 	}
-	return nil
+	return mac.Outgoing{}, false
 }
 
 func (n *Node) scheduleKick(at time.Duration) {
 	if n.kickTimer.Pending() {
 		return
 	}
-	n.kickTimer = n.sched.At(at, func() {
-		if n.mac != nil {
-			n.mac.Kick()
-		}
-	})
+	n.kickTimer = n.sched.At(at, n.kickFn)
+}
+
+func (n *Node) kickMAC() {
+	if n.mac != nil {
+		n.mac.Kick()
+	}
 }
 
 // OnSendComplete implements mac.Client.
-func (n *Node) OnSendComplete(out *mac.Outgoing, ok bool) {
+func (n *Node) OnSendComplete(out mac.Outgoing, ok bool) {
 	if !ok {
 		if n.cfg.RequeueOnFailure {
 			// The in-flight packet logically kept its buffer slot, so the
@@ -697,9 +754,7 @@ func (n *Node) OnSendComplete(out *mac.Outgoing, ok bool) {
 				n.spans.Requeued(n.id, out.Pkt)
 			}
 			n.touchFullState(q)
-			if n.mac != nil {
-				n.mac.Kick()
-			}
+			n.kickMAC()
 			return
 		}
 		n.dropPkt(out.Pkt, DropRetry)
@@ -762,8 +817,7 @@ func (n *Node) OnReceive(p *packet.Packet, from topology.NodeID) {
 		// Tail overwrite exists only for the plain-802.11 baseline,
 		// which never uses fair aggregation.
 		if n.cfg.OverwriteTail {
-			tail := q.pkts[len(q.pkts)-1]
-			q.pkts[len(q.pkts)-1] = p
+			tail := q.pkts.replaceTail(p)
 			if n.rec != nil {
 				p.ArrivedAt = n.sched.Now()
 			}
@@ -785,9 +839,7 @@ func (n *Node) OnReceive(p *packet.Packet, from topology.NodeID) {
 	}
 	n.enqueued++
 	n.touchFullState(q)
-	if n.mac != nil {
-		n.mac.Kick()
-	}
+	n.kickMAC()
 }
 
 // AcceptQueue implements mac.Client: the congestion-avoidance admission
@@ -807,13 +859,12 @@ func (n *Node) AcceptQueue(id packet.QueueID, from topology.NodeID) bool {
 }
 
 // Piggyback implements mac.Client: advertise one free/full bit per owned
-// queue (§2.2).
-func (n *Node) Piggyback() []packet.QueueState {
-	states := make([]packet.QueueState, 0, len(n.order))
+// queue (§2.2), appended to dst.
+func (n *Node) Piggyback(dst []packet.QueueState) []packet.QueueState {
 	for _, qid := range n.order {
-		states = append(states, packet.QueueState{Queue: qid, Free: !n.full(n.queues[qid])})
+		dst = append(dst, packet.QueueState{Queue: qid, Free: !n.full(n.queues[qid])})
 	}
-	return states
+	return dst
 }
 
 // OnOverhear implements mac.Client: cache a neighbor's advertised buffer
@@ -836,8 +887,8 @@ func (n *Node) OnOverhear(from topology.NodeID, states []packet.QueueState) {
 			opened = true
 		}
 	}
-	if opened && n.mac != nil {
-		n.mac.Kick()
+	if opened {
+		n.kickMAC()
 	}
 }
 

@@ -1,10 +1,12 @@
 package forwarding
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"gmp/internal/geom"
+	"gmp/internal/mac"
 	"gmp/internal/packet"
 	"gmp/internal/routing"
 	"gmp/internal/sim"
@@ -28,6 +30,15 @@ func testNode(t *testing.T, id topology.NodeID, cfg Config) (*Node, *sim.Schedul
 	drops := &dropLog{}
 	n := NewNode(id, sched, cfg, routes, nil, drops.record)
 	return n, sched, drops
+}
+
+// pull takes the node's next outgoing packet, nil when none.
+func pull(n *Node) *mac.Outgoing {
+	out, ok := n.NextOutgoing()
+	if !ok {
+		return nil
+	}
+	return &out
 }
 
 type dropLog struct {
@@ -65,7 +76,7 @@ func TestEnqueueDequeueFIFO(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		out := n.NextOutgoing()
+		out := pull(n)
 		if out == nil || out.Pkt.Seq != int64(i) {
 			t.Fatalf("dequeue %d: %+v", i, out)
 		}
@@ -76,7 +87,7 @@ func TestEnqueueDequeueFIFO(t *testing.T) {
 			t.Fatalf("queue id %d", out.Queue)
 		}
 	}
-	if n.NextOutgoing() != nil {
+	if pull(n) != nil {
 		t.Error("empty queue returned a packet")
 	}
 }
@@ -104,13 +115,13 @@ func TestNotifyQueueOpen(t *testing.T) {
 	if fired != 0 {
 		t.Fatal("waiter fired early")
 	}
-	n.NextOutgoing() // drains, queue transitions full->unfull
+	pull(n) // drains, queue transitions full->unfull
 	if fired != 1 {
 		t.Fatalf("waiter fired %d times, want 1", fired)
 	}
 	// One-shot: next transition does not re-fire.
 	n.Enqueue(pk(0, 1, 4, 1))
-	n.NextOutgoing()
+	pull(n)
 	if fired != 1 {
 		t.Error("one-shot waiter fired again")
 	}
@@ -124,7 +135,7 @@ func TestRoundRobinAcrossDestinations(t *testing.T) {
 	n.Enqueue(pk(1, 1, 3, 0))
 	n.Enqueue(pk(1, 1, 3, 1))
 	var dsts []topology.NodeID
-	for out := n.NextOutgoing(); out != nil; out = n.NextOutgoing() {
+	for out := pull(n); out != nil; out = pull(n) {
 		dsts = append(dsts, out.Pkt.Dst)
 	}
 	want := []topology.NodeID{4, 3, 4, 3}
@@ -140,12 +151,12 @@ func TestCongestionAvoidanceGating(t *testing.T) {
 	n.Enqueue(pk(0, 1, 4, 0))
 	// Next hop (node 2) advertises a full queue for destination 4.
 	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
-	if out := n.NextOutgoing(); out != nil {
+	if out := pull(n); out != nil {
 		t.Fatal("blocked packet was offered")
 	}
 	// A fresh free advertisement unblocks.
 	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: true}})
-	if out := n.NextOutgoing(); out == nil {
+	if out := pull(n); out == nil {
 		t.Fatal("packet not offered after queue opened")
 	}
 	_ = sched
@@ -157,13 +168,13 @@ func TestStaleFullStateOverridden(t *testing.T) {
 	n, sched, _ := testNode(t, 1, cfg)
 	n.Enqueue(pk(0, 1, 4, 0))
 	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
-	if n.NextOutgoing() != nil {
+	if pull(n) != nil {
 		t.Fatal("fresh full state ignored")
 	}
 	// After StaleAfter without refresh, the node attempts anyway (§2.2).
 	sched.At(20*time.Millisecond, func() {})
 	sched.Run(20 * time.Millisecond)
-	if n.NextOutgoing() == nil {
+	if pull(n) == nil {
 		t.Fatal("stale full state still blocking")
 	}
 }
@@ -174,7 +185,7 @@ func TestGatingIgnoredForFinalHop(t *testing.T) {
 	n, _, _ := testNode(t, 3, DefaultConfig())
 	n.Enqueue(pk(0, 3, 4, 0))
 	n.OnOverhear(4, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
-	if n.NextOutgoing() == nil {
+	if pull(n) == nil {
 		t.Fatal("final-hop packet blocked by destination state")
 	}
 }
@@ -188,8 +199,8 @@ func TestSharedFIFOTailOverwrite(t *testing.T) {
 	if len(drops.pkts) != 1 || drops.pkts[0].Seq != 1 || drops.reasons[0] != DropTail {
 		t.Fatalf("drops = %v %v", drops.pkts, drops.reasons)
 	}
-	first := n.NextOutgoing()
-	second := n.NextOutgoing()
+	first := pull(n)
+	second := pull(n)
 	if first.Pkt.Seq != 0 || second.Pkt.Seq != 2 {
 		t.Errorf("queue order %d,%d; want 0,2", first.Pkt.Seq, second.Pkt.Seq)
 	}
@@ -245,12 +256,12 @@ func TestRequeueOnFailurePreservesOrder(t *testing.T) {
 	n, _, drops := testNode(t, 1, cfg)
 	n.Enqueue(pk(0, 1, 4, 0))
 	n.Enqueue(pk(0, 1, 4, 1))
-	out := n.NextOutgoing()
-	n.OnSendComplete(out, false)
+	out := pull(n)
+	n.OnSendComplete(*out, false)
 	if len(drops.pkts) != 0 {
 		t.Fatal("requeue mode dropped a packet")
 	}
-	again := n.NextOutgoing()
+	again := pull(n)
 	if again.Pkt.Seq != 0 {
 		t.Errorf("requeued packet not at head: seq %d", again.Pkt.Seq)
 	}
@@ -261,8 +272,8 @@ func TestRetryDropWithoutRequeue(t *testing.T) {
 	cfg.RequeueOnFailure = false
 	n, _, drops := testNode(t, 1, cfg)
 	n.Enqueue(pk(0, 1, 4, 0))
-	out := n.NextOutgoing()
-	n.OnSendComplete(out, false)
+	out := pull(n)
+	n.OnSendComplete(*out, false)
 	if len(drops.pkts) != 1 || drops.reasons[0] != DropRetry {
 		t.Fatalf("drops = %v", drops.reasons)
 	}
@@ -272,8 +283,8 @@ func TestMetersCountAckedPackets(t *testing.T) {
 	n, _, _ := testNode(t, 1, DefaultConfig())
 	n.Enqueue(pk(0, 1, 4, 0))
 	n.Enqueue(pk(0, 1, 4, 1))
-	for out := n.NextOutgoing(); out != nil; out = n.NextOutgoing() {
-		n.OnSendComplete(out, true)
+	for out := pull(n); out != nil; out = pull(n) {
+		n.OnSendComplete(*out, true)
 	}
 	meters := n.TakeMeters()
 	key := VLinkKey{From: 1, To: 2, Queue: packet.QueueForDest(4)}
@@ -299,8 +310,8 @@ func TestPrimaryFlowTracking(t *testing.T) {
 	n.Enqueue(stamped(1, 80, 0))
 	n.Enqueue(stamped(2, 80, 0))
 	n.Enqueue(pk(3, 1, 4, 0)) // unstamped: must not affect the primary set
-	for out := n.NextOutgoing(); out != nil; out = n.NextOutgoing() {
-		n.OnSendComplete(out, true)
+	for out := pull(n); out != nil; out = pull(n) {
+		n.OnSendComplete(*out, true)
 	}
 	key := VLinkKey{From: 1, To: 2, Queue: packet.QueueForDest(4)}
 	m := n.TakeMeters()[key]
@@ -326,7 +337,7 @@ func TestFullFraction(t *testing.T) {
 
 	// Queue full for the middle half of the period.
 	sched.At(25*time.Millisecond, func() { n.Enqueue(pk(0, 1, 4, 0)) })
-	sched.At(75*time.Millisecond, func() { n.NextOutgoing() })
+	sched.At(75*time.Millisecond, func() { pull(n) })
 	sched.Run(period)
 	omega := n.FullFraction(packet.QueueForDest(4), period)
 	if omega < 0.49 || omega > 0.51 {
@@ -369,7 +380,7 @@ func TestNoRouteDrop(t *testing.T) {
 	drops := &dropLog{}
 	n := NewNode(0, sim.NewScheduler(), DefaultConfig(), routing.Build(topo), nil, drops.record)
 	n.Enqueue(pk(0, 0, 1, 0))
-	if n.NextOutgoing() != nil {
+	if pull(n) != nil {
 		t.Fatal("offered a packet with no route")
 	}
 	if len(drops.reasons) != 1 || drops.reasons[0] != DropNoRoute {
@@ -404,8 +415,8 @@ func TestPiggybackReflectsQueueState(t *testing.T) {
 	n, _, _ := testNode(t, 1, cfg)
 	n.Enqueue(pk(0, 1, 4, 0))
 	n.Enqueue(pk(1, 1, 3, 0))
-	n.NextOutgoing() // drains one of them (dest 4 first)
-	states := n.Piggyback()
+	pull(n) // drains one of them (dest 4 first)
+	states := n.Piggyback(nil)
 	if len(states) != 2 {
 		t.Fatalf("states = %v", states)
 	}
@@ -484,7 +495,7 @@ func TestStaleKickTimerScheduled(t *testing.T) {
 	n, sched, _ := testNode(t, 1, cfg)
 	n.Enqueue(pk(0, 1, 4, 0))
 	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
-	if n.NextOutgoing() != nil {
+	if pull(n) != nil {
 		t.Fatal("blocked packet offered")
 	}
 	// The node must have scheduled a retry kick at the staleness expiry
@@ -505,9 +516,9 @@ func TestFairAggregationRoundRobin(t *testing.T) {
 	}
 	n.OnReceive(pk(1, 0, 4, 0), 0)
 	// Service must alternate origins: local, upstream, local, ...
-	first := n.NextOutgoing()
-	second := n.NextOutgoing()
-	third := n.NextOutgoing()
+	first := pull(n)
+	second := pull(n)
+	third := pull(n)
 	if first.Pkt.Flow != 0 {
 		t.Fatalf("first packet from flow %d", first.Pkt.Flow)
 	}
@@ -551,12 +562,12 @@ func TestFairAggregationRequeuePreservesOrigin(t *testing.T) {
 	cfg.RequeueOnFailure = true
 	n, _, _ := testNode(t, 1, cfg)
 	n.OnReceive(pk(1, 0, 4, 7), 0) // relayed from node 0
-	out := n.NextOutgoing()
+	out := pull(n)
 	if out.Origin != 0 {
 		t.Fatalf("origin = %d, want 0", out.Origin)
 	}
-	n.OnSendComplete(out, false)
-	again := n.NextOutgoing()
+	n.OnSendComplete(*out, false)
+	again := pull(n)
 	if again == nil || again.Pkt.Seq != 7 || again.Origin != 0 {
 		t.Fatalf("requeue lost origin: %+v", again)
 	}
@@ -576,7 +587,7 @@ func TestDropAllPurgesEveryQueue(t *testing.T) {
 			t.Errorf("drop %d reason %v, want %v", i, r, DropNodeDown)
 		}
 	}
-	if n.NextOutgoing() != nil {
+	if pull(n) != nil {
 		t.Error("packet survived DropAll")
 	}
 	if n.QueueLen(packet.QueueForDest(4)) != 0 || n.QueueLen(packet.QueueForDest(3)) != 0 {
@@ -618,7 +629,7 @@ func TestSetRoutesSwitchesNextHop(t *testing.T) {
 	sched := sim.NewScheduler()
 	n := NewNode(0, sched, DefaultConfig(), routing.Build(topo), nil, func(*packet.Packet, DropReason) {})
 	n.Enqueue(pk(0, 0, 2, 0))
-	out := n.NextOutgoing()
+	out := pull(n)
 	if out == nil {
 		t.Fatal("no outgoing")
 	}
@@ -630,7 +641,7 @@ func TestSetRoutesSwitchesNextHop(t *testing.T) {
 	down[first] = true
 	n.SetRoutes(routing.BuildExcluding(topo, down))
 	n.Enqueue(pk(0, 0, 2, 1))
-	out = n.NextOutgoing()
+	out = pull(n)
 	if out == nil {
 		t.Fatal("no outgoing after reroute")
 	}
@@ -647,12 +658,12 @@ func TestResetNeighborState(t *testing.T) {
 	// Mark next hop 2's queue full: packets to dest 4 are withheld.
 	n.OnOverhear(2, []packet.QueueState{{Queue: packet.QueueForDest(4), Free: false}})
 	n.Enqueue(pk(0, 1, 4, 0))
-	if out := n.NextOutgoing(); out != nil {
+	if out := pull(n); out != nil {
 		t.Fatalf("sent %+v into a full downstream queue", out.Pkt)
 	}
 	// A route epoch wipes the stale state; the packet flows again.
 	n.ResetNeighborState()
-	if out := n.NextOutgoing(); out == nil {
+	if out := pull(n); out == nil {
 		t.Error("packet still withheld after ResetNeighborState")
 	}
 }
@@ -672,7 +683,7 @@ func TestReleaseQueueIfIdle(t *testing.T) {
 	if !n.HasQueue(qid) {
 		t.Fatal("refused release still removed the queue")
 	}
-	n.NextOutgoing() // drains dest-4 (round-robin starts at creation order)
+	pull(n) // drains dest-4 (round-robin starts at creation order)
 	fired := false
 	n.NotifyQueueOpen(qid, func() { fired = true })
 	if !n.ReleaseQueueIfIdle(qid) {
@@ -682,13 +693,13 @@ func TestReleaseQueueIfIdle(t *testing.T) {
 		t.Fatal("queue survives release")
 	}
 	// The departed flow's waiter is gone: no advertisement, no callback.
-	for _, st := range n.Piggyback() {
+	for _, st := range n.Piggyback(nil) {
 		if st.Queue == qid {
 			t.Fatal("released queue still advertised")
 		}
 	}
 	// Round-robin over the survivor still works.
-	out := n.NextOutgoing()
+	out := pull(n)
 	if out == nil || out.Pkt.Dst != 3 {
 		t.Fatalf("survivor not served: %+v", out)
 	}
@@ -703,5 +714,78 @@ func TestReleaseQueueIfIdle(t *testing.T) {
 	n.Enqueue(pk(0, 1, 4, 1))
 	if !n.HasQueue(qid) {
 		t.Fatal("straggler did not recreate the queue")
+	}
+}
+
+// TestRelayAllocs pins the relay path at zero allocations: once warm,
+// receiving a packet, handing the oldest queued one to the MAC and
+// completing its send reuse the queue's array (a standing backlog makes
+// the FIFO slide its packets back to the front), the meters and the
+// cached routes.
+func TestRelayAllocs(t *testing.T) {
+	n, _, _ := testNode(t, 1, DefaultConfig())
+	var pkts [4]*packet.Packet
+	for i := range pkts {
+		pkts[i] = pk(0, 0, 4, int64(i))
+		pkts[i].Stamped, pkts[i].NormRate = true, 50
+	}
+	for _, p := range pkts[:3] {
+		n.OnReceive(p, 0)
+	}
+	next := 3
+	relay := func() {
+		n.OnReceive(pkts[next%len(pkts)], 0)
+		next++
+		out, ok := n.NextOutgoing()
+		if !ok || out.Pkt != pkts[next%len(pkts)] || out.NextHop != 2 {
+			t.Fatalf("relay pulled %+v, %v", out, ok)
+		}
+		n.OnSendComplete(out, true)
+	}
+	for i := 0; i < 16; i++ {
+		relay()
+	}
+	if avg := testing.AllocsPerRun(200, relay); avg != 0 {
+		t.Errorf("a relayed packet allocates %.2f objects, want 0", avg)
+	}
+	q := n.queues[packet.QueueForDest(4)]
+	if got := q.length(); got != 3 {
+		t.Fatalf("backlog = %d, want 3", got)
+	}
+	// Growing the array instead of sliding it back would allocate
+	// rarely enough to average out above, but it grows without bound.
+	if c := cap(q.pkts.pkts); c > 8 {
+		t.Fatalf("queue array grew to %d slots for a backlog of 3", c)
+	}
+}
+
+// TestFIFOMatchesSlice checks the head-indexed FIFO against a plain
+// slice model over random pushes at either end and pops.
+func TestFIFOMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var f fifo
+	var model []*packet.Packet
+	for op := 0; op < 5000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			p := pk(0, 0, 4, int64(op))
+			f.pushBack(p)
+			model = append(model, p)
+		case r < 5:
+			p := pk(0, 0, 4, int64(op))
+			f.pushFront(p)
+			model = append([]*packet.Packet{p}, model...)
+		case len(model) > 0:
+			if got := f.popFront(); got != model[0] {
+				t.Fatalf("op %d: popped seq %d, want %d", op, got.Seq, model[0].Seq)
+			}
+			model = model[1:]
+		}
+		if f.len() != len(model) {
+			t.Fatalf("op %d: len %d, want %d", op, f.len(), len(model))
+		}
+		if len(model) > 0 && f.front() != model[0] {
+			t.Fatalf("op %d: front seq %d, want %d", op, f.front().Seq, model[0].Seq)
+		}
 	}
 }

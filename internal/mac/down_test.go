@@ -13,7 +13,7 @@ import "gmp/internal/geom"
 func TestSetDownStopsStation(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
 	for i := 0; i < 20; i++ {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
 	}
 	h.stations[0].Kick()
 	h.sched.Run(20 * time.Millisecond) // a few exchanges complete
@@ -29,7 +29,7 @@ func TestSetDownStopsStation(t *testing.T) {
 	// The packet the MAC held (if any) must have come back failed so the
 	// forwarding layer can purge it with the rest of the buffers.
 	for i, ok := range h.clients[0].results {
-		if !ok && i < len(h.clients[0].completed) && h.clients[0].completed[i] == nil {
+		if !ok && i < len(h.clients[0].completed) && h.clients[0].completed[i].Pkt == nil {
 			t.Error("failed completion without a packet")
 		}
 	}
@@ -98,7 +98,7 @@ func TestSetDownIdempotent(t *testing.T) {
 		t.Error("down after double SetDown(false)")
 	}
 	// Station still works.
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	h.sched.Run(100 * time.Millisecond)
 	if len(h.clients[1].received) != 1 {

@@ -39,21 +39,24 @@ type Outgoing struct {
 // Client is the upper layer attached to a MAC station.
 type Client interface {
 	// NextOutgoing returns the next packet eligible for transmission, or
-	// nil if none. Ownership transfers to the MAC until OnSendComplete.
-	NextOutgoing() *Outgoing
+	// false if none. Ownership transfers to the MAC until OnSendComplete.
+	NextOutgoing() (Outgoing, bool)
 	// OnSendComplete reports the fate of a previously pulled packet:
 	// ok=true when the next hop acknowledged it, ok=false when the retry
 	// limit was exhausted and the packet was dropped.
-	OnSendComplete(out *Outgoing, ok bool)
+	OnSendComplete(out Outgoing, ok bool)
 	// OnReceive delivers a data packet addressed to this node (either to
 	// forward or, at the destination, to consume). Duplicates from ACK
 	// loss are filtered by the MAC before this call.
 	OnReceive(pkt *packet.Packet, from topology.NodeID)
-	// Piggyback returns the node's current buffer-state advertisement to
-	// attach to an outgoing frame (§2.2).
-	Piggyback() []packet.QueueState
+	// Piggyback appends the node's current buffer-state advertisement to
+	// dst and returns the extended slice, for attaching to an outgoing
+	// frame (§2.2). The MAC passes the frame's own emptied States so the
+	// steady-state snapshot reuses its backing array.
+	Piggyback(dst []packet.QueueState) []packet.QueueState
 	// OnOverhear processes a buffer-state advertisement overheard from a
-	// neighbor's frame.
+	// neighbor's frame. states belongs to that frame and must not be
+	// retained past the call.
 	OnOverhear(from topology.NodeID, states []packet.QueueState)
 	// AcceptQueue reports whether queue q can admit one more packet from
 	// the given sender. A receiver withholds CTS when it cannot
@@ -138,7 +141,7 @@ type Station struct {
 	rng    *rand.Rand
 	client Client
 
-	cur     *Outgoing
+	cur     Outgoing       // packet being sent; cur.Pkt is nil when none
 	ctrl    []*radio.Frame // pending control broadcasts (priority)
 	retries int
 	cw      int
@@ -160,6 +163,15 @@ type Station struct {
 	responding bool
 	pulling    bool // reentrancy guard: inside client.NextOutgoing
 
+	// The station's own frames, rewritten for every transmission:
+	// txFrame carries its RTS or DATA, respFrame its CTS or ACK. Each is
+	// off the air before it is rewritten: the medium refuses overlapping
+	// transmissions from one node, and at most one response is pending
+	// (handleRTS refuses while one is, and no DATA frame, being longer
+	// than a SIFS, can arrive intact during a pending response).
+	txFrame   radio.Frame
+	respFrame radio.Frame
+
 	// Prebound timer callbacks: method values allocate a closure per
 	// use, so the recurring ones are bound once at construction.
 	onDIFSDoneFn        func()
@@ -171,6 +183,7 @@ type Station struct {
 	onBroadcastAiredFn  func()
 	onCTSSIFSDoneFn     func()
 	onResponseAiredFn   func()
+	onRespondFn         func()
 
 	lastSeq map[packet.FlowID]int64
 
@@ -215,6 +228,7 @@ func NewStation(id topology.NodeID, sched *sim.Scheduler, medium *radio.Medium, 
 	s.onBroadcastAiredFn = s.onBroadcastAired
 	s.onCTSSIFSDoneFn = s.onCTSSIFSDone
 	s.onResponseAiredFn = s.onResponseAired
+	s.onRespondFn = s.onRespond
 	medium.Register(id, s)
 	return s
 }
@@ -268,9 +282,9 @@ func (s *Station) SetDown(down bool) {
 		s.backoffSlots = 0
 		s.cw = s.par.CWMin
 		out := s.cur
-		s.cur = nil
+		s.cur = Outgoing{}
 		s.ph = phaseDown
-		if out != nil {
+		if out.Pkt != nil {
 			s.client.OnSendComplete(out, false)
 		}
 		return
@@ -282,7 +296,7 @@ func (s *Station) SetDown(down bool) {
 // Kick notifies the MAC that the client may now have an eligible packet
 // (new arrival or a downstream buffer opened up). Safe to call anytime.
 func (s *Station) Kick() {
-	if s.ph != phaseIdle || s.cur != nil || s.pulling {
+	if s.ph != phaseIdle || s.cur.Pkt != nil || s.pulling {
 		return
 	}
 	s.pullNext()
@@ -309,15 +323,16 @@ func (s *Station) QueueBroadcast(payload any, payloadBytes int) {
 
 func (s *Station) pullNext() {
 	if len(s.ctrl) > 0 {
-		s.cur = nil
+		s.cur = Outgoing{}
 		s.retries = 0
 		s.startAccess()
 		return
 	}
 	s.pulling = true
-	s.cur = s.client.NextOutgoing()
+	var ok bool
+	s.cur, ok = s.client.NextOutgoing()
 	s.pulling = false
-	if s.cur == nil {
+	if !ok {
 		s.ph = phaseIdle
 		return
 	}
@@ -354,13 +369,13 @@ func (s *Station) evaluate() {
 		return
 	}
 	if !s.virtualIdle() {
-		if s.spans != nil && s.cur != nil {
+		if s.spans != nil && s.cur.Pkt != nil {
 			s.spans.MACDeferred(s.id, s.cur.Pkt)
 		}
 		s.armNAVTimer()
 		return
 	}
-	if s.spans != nil && s.cur != nil {
+	if s.spans != nil && s.cur.Pkt != nil {
 		s.spans.MACResumed(s.id, s.cur.Pkt)
 	}
 	s.ph = phaseDIFS
@@ -391,7 +406,7 @@ func (s *Station) onDIFSDone() {
 	}
 	s.ph = phaseCountdown
 	s.countdownStart = s.sched.Now()
-	if s.spans != nil && s.cur != nil {
+	if s.spans != nil && s.cur.Pkt != nil {
 		s.spans.BackoffStart(s.id, s.cur.Pkt, s.backoffSlots)
 	}
 	s.countdownTimer = s.sched.After(time.Duration(s.backoffSlots)*s.par.SlotTime, s.onBackoffDoneFn)
@@ -411,14 +426,14 @@ func (s *Station) freeze() {
 		}
 		s.backoffSlots -= consumed
 		s.countdownTimer.Cancel()
-		if s.spans != nil && s.cur != nil {
+		if s.spans != nil && s.cur.Pkt != nil {
 			s.spans.BackoffEnd(s.id, s.cur.Pkt)
 		}
 		s.ph = phaseWaitIdle
 	default:
 		return
 	}
-	if s.spans != nil && s.cur != nil {
+	if s.spans != nil && s.cur.Pkt != nil {
 		s.spans.MACDeferred(s.id, s.cur.Pkt)
 	}
 }
@@ -434,7 +449,7 @@ func (s *Station) onBackoffDone() {
 		return
 	}
 	s.backoffSlots = 0
-	if s.spans != nil && s.cur != nil {
+	if s.spans != nil && s.cur.Pkt != nil {
 		s.spans.BackoffEnd(s.id, s.cur.Pkt)
 	}
 	if len(s.ctrl) > 0 {
@@ -453,7 +468,7 @@ func (s *Station) onBackoffDone() {
 func (s *Station) sendBroadcast() {
 	f := s.ctrl[0]
 	s.ctrl = s.ctrl[1:]
-	f.States = s.client.Piggyback()
+	f.States = s.client.Piggyback(nil)
 	s.ph = phaseTxData
 	air := s.medium.Airtime(f)
 	s.stats.Broadcasts++
@@ -477,17 +492,25 @@ func (s *Station) exchangeNAV() time.Duration {
 	return 3*s.par.SIFS + s.ctsAir + dataAir + s.ackAir
 }
 
+// fill rewrites the station-owned frame f as fields and attaches the
+// client's buffer-state snapshot, reusing f's States backing array.
+func (s *Station) fill(f *radio.Frame, fields radio.Frame) *radio.Frame {
+	states := f.States[:0]
+	*f = fields
+	f.States = s.client.Piggyback(states)
+	return f
+}
+
 func (s *Station) sendRTS() {
 	s.ph = phaseTxRTS
-	f := &radio.Frame{
+	f := s.fill(&s.txFrame, radio.Frame{
 		Kind:     radio.FrameRTS,
 		To:       s.cur.NextHop,
 		LinkFrom: s.id,
 		LinkTo:   s.cur.NextHop,
 		NAV:      s.exchangeNAV(),
-		States:   s.client.Piggyback(),
 		Queue:    s.cur.Queue,
-	}
+	})
 	s.stats.RTSSent++
 	air := s.medium.Airtime(f)
 	s.medium.Transmit(s.id, f)
@@ -514,23 +537,10 @@ func (s *Station) onDataAired() {
 	s.waitTimer = s.sched.After(timeout, s.onExchangeTimeoutFn)
 }
 
+// sendData transmits the current packet without an RTS/CTS handshake.
 func (s *Station) sendData() {
 	s.ph = phaseTxData
-	dataAir := s.medium.DataAirtime(s.cur.Pkt.SizeBytes)
-	ackAir := s.ackAir
-	f := &radio.Frame{
-		Kind:     radio.FrameData,
-		To:       s.cur.NextHop,
-		LinkFrom: s.id,
-		LinkTo:   s.cur.NextHop,
-		NAV:      s.par.SIFS + ackAir,
-		Data:     s.cur.Pkt,
-		States:   s.client.Piggyback(),
-		Queue:    s.cur.Queue,
-	}
-	s.stats.DataSent++
-	s.medium.Transmit(s.id, f)
-	s.sched.After(dataAir, s.onDataAiredFn)
+	s.transmitData()
 }
 
 // onExchangeTimeout fires when an expected CTS or ACK did not arrive.
@@ -549,11 +559,11 @@ func (s *Station) onExchangeTimeout() {
 	if s.retries > s.par.RetryLimit {
 		s.stats.Drops++
 		out := s.cur
-		s.cur = nil
+		s.cur = Outgoing{}
 		s.cw = s.par.CWMin
 		s.ph = phaseIdle
 		s.client.OnSendComplete(out, false)
-		if s.cur == nil && s.ph == phaseIdle {
+		if s.cur.Pkt == nil && s.ph == phaseIdle {
 			s.pullNext()
 		}
 		return
@@ -631,18 +641,14 @@ func (s *Station) handleRTS(f *radio.Frame) {
 		return
 	}
 	s.freeze()
-	cts := &radio.Frame{
+	s.fill(&s.respFrame, radio.Frame{
 		Kind:     radio.FrameCTS,
 		To:       f.From,
 		LinkFrom: f.LinkFrom,
 		LinkTo:   f.LinkTo,
-		NAV:      f.NAV - s.par.SIFS - s.ctsAir,
-		States:   s.client.Piggyback(),
-	}
-	if cts.NAV < 0 {
-		cts.NAV = 0
-	}
-	s.respond(cts)
+		NAV:      max(f.NAV-s.par.SIFS-s.ctsAir, 0),
+	})
+	s.respond()
 }
 
 func (s *Station) handleCTS(f *radio.Frame) {
@@ -659,37 +665,34 @@ func (s *Station) onCTSSIFSDone() {
 	if s.ph != phaseTxData {
 		return
 	}
-	s.transmitDataAfterCTS()
+	s.transmitData()
 }
 
-func (s *Station) transmitDataAfterCTS() {
+func (s *Station) transmitData() {
 	dataAir := s.medium.DataAirtime(s.cur.Pkt.SizeBytes)
-	ackAir := s.ackAir
-	f := &radio.Frame{
+	f := s.fill(&s.txFrame, radio.Frame{
 		Kind:     radio.FrameData,
 		To:       s.cur.NextHop,
 		LinkFrom: s.id,
 		LinkTo:   s.cur.NextHop,
-		NAV:      s.par.SIFS + ackAir,
+		NAV:      s.par.SIFS + s.ackAir,
 		Data:     s.cur.Pkt,
-		States:   s.client.Piggyback(),
 		Queue:    s.cur.Queue,
-	}
+	})
 	s.stats.DataSent++
 	s.medium.Transmit(s.id, f)
 	s.sched.After(dataAir, s.onDataAiredFn)
 }
 
 func (s *Station) handleData(f *radio.Frame) {
-	ack := &radio.Frame{
+	s.fill(&s.respFrame, radio.Frame{
 		Kind:     radio.FrameAck,
 		To:       f.From,
 		LinkFrom: f.LinkFrom,
 		LinkTo:   f.LinkTo,
-		States:   s.client.Piggyback(),
-	}
+	})
 	s.freeze()
-	s.respond(ack)
+	s.respond()
 
 	pkt := f.Data
 	last, seen := s.lastSeq[pkt.Flow]
@@ -712,29 +715,34 @@ func (s *Station) handleAck(f *radio.Frame) {
 		s.rec.MACService(s.id, s.cur.Pkt.Flow, s.sched.Now()-s.curSince)
 	}
 	out := s.cur
-	s.cur = nil
+	s.cur = Outgoing{}
 	s.cw = s.par.CWMin
 	s.retries = 0
 	s.ph = phaseIdle
 	s.client.OnSendComplete(out, true)
-	if s.cur == nil && s.ph == phaseIdle {
+	if s.cur.Pkt == nil && s.ph == phaseIdle {
 		s.pullNext()
 	}
 }
 
-// respond transmits a SIFS-scheduled control response (CTS or ACK).
-func (s *Station) respond(f *radio.Frame) {
+// respond schedules respFrame, a CTS or ACK, for transmission one SIFS
+// from now.
+func (s *Station) respond() {
 	s.responding = true
-	s.respTimer = s.sched.After(s.par.SIFS, func() {
-		if s.medium.Transmitting(s.id) {
-			// Should not happen: SIFS responses never overlap own tx.
-			s.responding = false
-			return
-		}
-		air := s.medium.Airtime(f)
-		s.medium.Transmit(s.id, f)
-		s.sched.After(air, s.onResponseAiredFn)
-	})
+	s.respTimer = s.sched.After(s.par.SIFS, s.onRespondFn)
+}
+
+// onRespond puts the pending control response on the air.
+func (s *Station) onRespond() {
+	if s.medium.Transmitting(s.id) {
+		// Should not happen: SIFS responses never overlap own tx.
+		s.responding = false
+		return
+	}
+	f := &s.respFrame
+	air := s.medium.Airtime(f)
+	s.medium.Transmit(s.id, f)
+	s.sched.After(air, s.onResponseAiredFn)
 }
 
 // onResponseAired clears the SIFS-response guard once the CTS/ACK is off
@@ -742,11 +750,4 @@ func (s *Station) respond(f *radio.Frame) {
 func (s *Station) onResponseAired() {
 	s.responding = false
 	s.evaluate()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -62,7 +62,7 @@ func TestBroadcastPriorityOverData(t *testing.T) {
 	h.stations[1].client = rx
 	// Data first, then a broadcast before the MAC starts: the broadcast
 	// (control priority) must be transmitted first.
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].QueueBroadcast("ctl", 8)
 	h.sched.Run(time.Second)
 	if len(rx.broadcasts) != 1 {

@@ -13,8 +13,8 @@ import (
 
 // fakeClient is a scriptable upper layer for one station.
 type fakeClient struct {
-	outgoing  []*Outgoing
-	completed []*Outgoing
+	outgoing  []Outgoing
+	completed []Outgoing
 	results   []bool
 	received  []*packet.Packet
 	overheard map[topology.NodeID][]packet.QueueState
@@ -26,16 +26,16 @@ func newFakeClient() *fakeClient {
 	return &fakeClient{overheard: make(map[topology.NodeID][]packet.QueueState)}
 }
 
-func (c *fakeClient) NextOutgoing() *Outgoing {
+func (c *fakeClient) NextOutgoing() (Outgoing, bool) {
 	if len(c.outgoing) == 0 {
-		return nil
+		return Outgoing{}, false
 	}
 	out := c.outgoing[0]
 	c.outgoing = c.outgoing[1:]
-	return out
+	return out, true
 }
 
-func (c *fakeClient) OnSendComplete(out *Outgoing, ok bool) {
+func (c *fakeClient) OnSendComplete(out Outgoing, ok bool) {
 	c.completed = append(c.completed, out)
 	c.results = append(c.results, ok)
 }
@@ -44,11 +44,15 @@ func (c *fakeClient) OnReceive(p *packet.Packet, _ topology.NodeID) {
 	c.received = append(c.received, p)
 }
 
-func (c *fakeClient) Piggyback() []packet.QueueState { return c.states }
+func (c *fakeClient) Piggyback(dst []packet.QueueState) []packet.QueueState {
+	return append(dst, c.states...)
+}
 
+// OnOverhear copies states: the slice belongs to the overheard frame,
+// which its transmitter rewrites for its next transmission.
 func (c *fakeClient) OnOverhear(from topology.NodeID, states []packet.QueueState) {
 	if len(states) > 0 {
-		c.overheard[from] = states
+		c.overheard[from] = append([]packet.QueueState(nil), states...)
 	}
 }
 
@@ -96,7 +100,7 @@ func pkt(flow packet.FlowID, src, dst topology.NodeID, seq int64) *packet.Packet
 
 func TestSinglePacketExchange(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	h.sched.Run(100 * time.Millisecond)
 
@@ -116,7 +120,7 @@ func TestBackToBackPackets(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
 	const n = 50
 	for i := 0; i < n; i++ {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
 	}
 	h.stations[0].Kick()
 	h.sched.Run(time.Second)
@@ -132,7 +136,7 @@ func TestBackToBackPackets(t *testing.T) {
 
 func TestNoRTSMode(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, Config{UseRTS: false})
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	h.sched.Run(100 * time.Millisecond)
 	if len(h.clients[1].received) != 1 {
@@ -147,7 +151,7 @@ func TestRetryLimitDropsPacket(t *testing.T) {
 	// The receiver refuses every queue: no CTS ever comes back.
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
 	h.clients[1].accept = func(packet.QueueID, topology.NodeID) bool { return false }
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	h.sched.Run(5 * time.Second)
 
@@ -170,7 +174,7 @@ func TestAdmissionRecoversWhenQueueOpens(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
 	full := true
 	h.clients[1].accept = func(packet.QueueID, topology.NodeID) bool { return !full }
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	h.sched.After(20*time.Millisecond, func() { full = false })
 	h.sched.Run(time.Second)
@@ -188,8 +192,8 @@ func TestContendingSendersBothDeliver(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 150, Y: 130}}, DefaultConfig())
 	const n = 20
 	for i := 0; i < n; i++ {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
-		h.clients[2].outgoing = append(h.clients[2].outgoing, &Outgoing{Pkt: pkt(1, 2, 1, int64(i)), NextHop: 1})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+		h.clients[2].outgoing = append(h.clients[2].outgoing, Outgoing{Pkt: pkt(1, 2, 1, int64(i)), NextHop: 1})
 	}
 	h.stations[0].Kick()
 	h.stations[2].Kick()
@@ -209,7 +213,7 @@ func TestDuplicateSuppressionUnderAckLoss(t *testing.T) {
 	h := newMACHarnessParams(t, topo, DefaultConfig(), par)
 	const n = 100
 	for i := 0; i < n; i++ {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
 	}
 	h.stations[0].Kick()
 	h.sched.Run(30 * time.Second)
@@ -237,7 +241,7 @@ func TestPiggybackOverheard(t *testing.T) {
 	// learn node 0's buffer states.
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 100, Y: 150}}, DefaultConfig())
 	h.clients[0].states = []packet.QueueState{{Queue: 7, Free: false}}
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	h.sched.Run(100 * time.Millisecond)
 
@@ -255,8 +259,8 @@ func TestHiddenTerminalEventuallyDelivers(t *testing.T) {
 	h := newMACHarness(t, pos, DefaultConfig())
 	const n = 200
 	for i := 0; i < n; i++ {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
-		h.clients[2].outgoing = append(h.clients[2].outgoing, &Outgoing{Pkt: pkt(1, 2, 3, int64(i)), NextHop: 3})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+		h.clients[2].outgoing = append(h.clients[2].outgoing, Outgoing{Pkt: pkt(1, 2, 3, int64(i)), NextHop: 3})
 	}
 	h.stations[0].Kick()
 	h.stations[2].Kick()
@@ -277,7 +281,7 @@ func TestHiddenTerminalEventuallyDelivers(t *testing.T) {
 
 func TestKickWhileBusyIsSafe(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
-	h.clients[0].outgoing = []*Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
+	h.clients[0].outgoing = []Outgoing{{Pkt: pkt(0, 0, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	for i := 1; i <= 10; i++ {
 		h.sched.At(time.Duration(i)*100*time.Microsecond, h.stations[0].Kick)
@@ -293,7 +297,7 @@ func TestLatePacketArrival(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
 	h.stations[0].Kick() // nothing to send
 	h.sched.After(50*time.Millisecond, func() {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, 0), NextHop: 1})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, 0), NextHop: 1})
 		h.stations[0].Kick()
 	})
 	h.sched.Run(time.Second)
@@ -306,7 +310,7 @@ func TestThroughputNearSaturationEstimate(t *testing.T) {
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}}, DefaultConfig())
 	const n = 400
 	for i := 0; i < n; i++ {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
 	}
 	h.stations[0].Kick()
 	dur := 500 * time.Millisecond
@@ -324,9 +328,9 @@ func TestNAVSuppressesThirdParty(t *testing.T) {
 	// eventually delivered collision-free under carrier sense + NAV.
 	h := newMACHarness(t, []geom.Point{{X: 0}, {X: 200}, {X: 100, Y: 140}}, DefaultConfig())
 	for i := 0; i < 10; i++ {
-		h.clients[0].outgoing = append(h.clients[0].outgoing, &Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
+		h.clients[0].outgoing = append(h.clients[0].outgoing, Outgoing{Pkt: pkt(0, 0, 1, int64(i)), NextHop: 1})
 	}
-	h.clients[2].outgoing = []*Outgoing{{Pkt: pkt(1, 2, 1, 0), NextHop: 1}}
+	h.clients[2].outgoing = []Outgoing{{Pkt: pkt(1, 2, 1, 0), NextHop: 1}}
 	h.stations[0].Kick()
 	h.stations[2].Kick()
 	h.sched.Run(time.Second)

@@ -63,7 +63,7 @@ func (h *harness) sendAcked(node topology.NodeID, flow packet.FlowID, dst topolo
 			h.nodes[node].NextOutgoing() // make room
 			h.nodes[node].Enqueue(p)
 		}
-		out := h.nodes[node].NextOutgoing()
+		out, _ := h.nodes[node].NextOutgoing()
 		h.nodes[node].OnSendComplete(out, true)
 	}
 }
@@ -116,7 +116,7 @@ func TestLinkClassification(t *testing.T) {
 		h.nodes[0].Enqueue(pk(0, 0, 3, 10))
 	}
 	// One acked packet so the link appears in the snapshot.
-	out := h.nodes[0].NextOutgoing()
+	out, _ := h.nodes[0].NextOutgoing()
 	h.nodes[0].OnSendComplete(out, true)
 	h.nodes[0].Enqueue(pk(0, 0, 3, 10)) // refill to stay full
 
@@ -124,7 +124,7 @@ func TestLinkClassification(t *testing.T) {
 	for i := 0; i < forwarding.DefaultConfig().QueueSlots; i++ {
 		h.nodes[2].Enqueue(pk(1, 2, 3, 20))
 	}
-	out2 := h.nodes[2].NextOutgoing()
+	out2, _ := h.nodes[2].NextOutgoing()
 	h.nodes[2].OnSendComplete(out2, true)
 	h.nodes[2].Enqueue(pk(1, 2, 3, 20))
 
@@ -161,7 +161,7 @@ func TestBufferSaturatedClassification(t *testing.T) {
 		h.nodes[0].Enqueue(pk(0, 0, 3, 10))
 		h.nodes[1].Enqueue(pk(0, 0, 3, 10))
 	}
-	out := h.nodes[0].NextOutgoing()
+	out, _ := h.nodes[0].NextOutgoing()
 	h.nodes[0].OnSendComplete(out, true)
 	h.nodes[0].Enqueue(pk(0, 0, 3, 10))
 

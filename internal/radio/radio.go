@@ -81,7 +81,10 @@ type Frame struct {
 	// ref [3] ("send ... only when j has enough free buffer space").
 	Queue packet.QueueID
 	// States is the transmitter's piggybacked buffer-state advertisement
-	// (§2.2), attached to every frame.
+	// (§2.2), attached to every frame. Like the frame itself it is valid
+	// only during the OnFrame callback that delivers it: transmitters
+	// reuse both the frame and the States backing array for their next
+	// transmission, so a receiver must copy what it keeps.
 	States []packet.QueueState
 	// Control is the payload of a FrameBroadcast (link-state records or
 	// other protocol control content); ControlBytes sizes its airtime.
@@ -105,7 +108,9 @@ type Station interface {
 	// frame was corrupted at this node (collision, self-transmission
 	// overlap, or injected loss). Frames not addressed to the node are
 	// still delivered (overhearing) so it can set its NAV and read
-	// piggybacked state.
+	// piggybacked state. f and f.States are valid only during the call
+	// and must not be retained: the transmitter rewrites them for its
+	// next transmission.
 	OnFrame(f *Frame, ok bool)
 }
 

@@ -110,3 +110,119 @@ func BenchmarkSchedulerTimers(b *testing.B) {
 		s.Run(s.Now() + 10*time.Microsecond)
 	}
 }
+
+// TestSchedulerMatchesReference is a differential test of the slab heap
+// against a brute-force reference. Random At/After/Cancel/Run/Step
+// sequences, with timestamps drawn from a handful of values so most
+// events tie, are mirrored into a flat list of records. Every callback
+// checks that it is the reference's minimum by (at, seq) among pending
+// records; callbacks sometimes schedule further events, including at
+// the current instant. After every operation each handle ever issued
+// must report Pending exactly when its record is pending, so a stale
+// handle whose slot has been reused neither cancels nor reports the
+// slot's new occupant.
+func TestSchedulerMatchesReference(t *testing.T) {
+	type record struct {
+		at      time.Duration
+		seq     int
+		pending bool
+		tm      Timer
+	}
+	reused := 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler()
+		var recs []*record
+		fired := 0
+
+		var schedule func(at time.Duration, relative bool)
+		schedule = func(at time.Duration, relative bool) {
+			r := &record{at: at, seq: len(recs), pending: true}
+			recs = append(recs, r)
+			fn := func() {
+				for _, o := range recs {
+					if o.pending && (o.at < r.at || o.at == r.at && o.seq < r.seq) {
+						t.Fatalf("seed %d: fired #%d (at %v) before pending #%d (at %v)", seed, r.seq, r.at, o.seq, o.at)
+					}
+				}
+				if !r.pending || s.Now() != r.at {
+					t.Fatalf("seed %d: #%d fired at %v, pending=%v, scheduled for %v", seed, r.seq, s.Now(), r.pending, r.at)
+				}
+				r.pending = false
+				fired++
+				if rng.Intn(4) == 0 {
+					schedule(s.Now()+time.Duration(rng.Intn(3))*time.Microsecond, false)
+				}
+			}
+			if relative {
+				r.tm = s.After(at-s.Now(), fn)
+			} else {
+				r.tm = s.At(at, fn)
+			}
+		}
+		check := func(op string) {
+			live := 0
+			for _, r := range recs {
+				if r.tm.Pending() != r.pending {
+					t.Fatalf("seed %d after %s: handle #%d Pending() = %v, reference %v", seed, op, r.seq, r.tm.Pending(), r.pending)
+				}
+				if r.pending {
+					live++
+				}
+			}
+			if s.Pending() != live {
+				t.Fatalf("seed %d after %s: Pending() = %d, reference %d", seed, op, s.Pending(), live)
+			}
+		}
+
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(12); {
+			case r < 5:
+				// Mostly ties; sometimes a wide spread, so the heap grows
+				// deep enough for removals to need sifting either way.
+				spread := []int{4, 4, 64}[rng.Intn(3)]
+				schedule(s.Now()+time.Duration(rng.Intn(spread))*time.Microsecond, r < 2)
+				check("schedule")
+			case r < 8:
+				if len(recs) > 0 {
+					rec := recs[rng.Intn(len(recs))]
+					if got := rec.tm.Cancel(); got != rec.pending {
+						t.Fatalf("seed %d: Cancel() of #%d = %v, reference pending %v", seed, rec.seq, got, rec.pending)
+					}
+					rec.pending = false
+					check("cancel")
+				}
+			case r < 10:
+				until := s.Now() + time.Duration(rng.Intn(3))*time.Microsecond
+				s.Run(until)
+				if s.Now() != until {
+					t.Fatalf("seed %d: Run(%v) left Now() = %v", seed, until, s.Now())
+				}
+				for _, rec := range recs {
+					if rec.pending && rec.at <= until {
+						t.Fatalf("seed %d: #%d at %v still pending after Run(%v)", seed, rec.seq, rec.at, until)
+					}
+				}
+				check("run")
+			default:
+				want, before := s.Pending(), fired
+				if got := s.Step(); got != (want > 0) || fired-before != min(want, 1) {
+					t.Fatalf("seed %d: Step() = %v firing %d events with %d pending", seed, got, fired-before, want)
+				}
+				check("step")
+			}
+		}
+		for _, a := range recs {
+			for _, b := range recs {
+				if a != b && a.tm.slot == b.tm.slot && !a.pending && b.pending {
+					reused++
+				}
+			}
+		}
+		s.Run(s.Now() + time.Millisecond)
+		check("drain")
+	}
+	if reused == 0 {
+		t.Fatal("no stale handle shared a slot with a live event; the test exercised no reuse")
+	}
+}

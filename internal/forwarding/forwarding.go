@@ -389,6 +389,10 @@ type Node struct {
 	received map[VLinkKey]*VLinkMeter
 
 	openWaiters map[packet.QueueID][]func()
+	// spareWaiters is an emptied waiter slice kept for reuse: a wake-up
+	// swaps it in for the list it fires, then keeps that list as the
+	// next spare, so register/wake cycles stop allocating.
+	spareWaiters []func()
 
 	broadcastHandler func(from topology.NodeID, payload any)
 
@@ -618,10 +622,15 @@ func (n *Node) touchFullState(q *queue) {
 	q.localWasFull = localFull
 	if wasFull && !localFull {
 		if waiters := n.openWaiters[q.id]; len(waiters) > 0 {
-			delete(n.openWaiters, q.id)
+			// Callbacks may re-register; they land in the spare, which
+			// fires on the next wake-up, never during this one.
+			n.openWaiters[q.id] = n.spareWaiters[:0]
+			n.spareWaiters = nil
 			for _, fn := range waiters {
 				fn()
 			}
+			clear(waiters)
+			n.spareWaiters = waiters[:0]
 		}
 		q.localWasFull = n.fullFor(q, n.id)
 	}

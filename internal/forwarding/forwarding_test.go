@@ -2,6 +2,8 @@ package forwarding
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -124,6 +126,67 @@ func TestNotifyQueueOpen(t *testing.T) {
 	pull(n)
 	if fired != 1 {
 		t.Error("one-shot waiter fired again")
+	}
+}
+
+// TestQueueOpenWaitersReuse pins the queue-open wake-up: waiters fire
+// in registration order, waiters registered during a wake-up wait for
+// the next one (even when one callback registers several, which would
+// overwrite unread entries if the fired list were truncated in place),
+// and a warm register/wake cycle allocates nothing.
+func TestQueueOpenWaitersReuse(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueueSlots = 1
+	cfg.CongestionAvoidance = false
+	n, _, _ := testNode(t, 1, cfg)
+	qid := packet.QueueForDest(4)
+	p := pk(0, 1, 4, 0)
+	// wake fills the one-slot queue and drains it: one full→open edge.
+	wake := func() {
+		if !n.Enqueue(p) {
+			t.Fatal("enqueue into an open queue failed")
+		}
+		if _, ok := n.NextOutgoing(); !ok {
+			t.Fatal("queued packet not dequeued")
+		}
+	}
+
+	var got []string
+	waiter := func(name string, then ...string) func() {
+		return func() {
+			got = append(got, name)
+			for _, next := range then {
+				n.NotifyQueueOpen(qid, func() { got = append(got, next) })
+			}
+		}
+	}
+	n.NotifyQueueOpen(qid, waiter("a", "c", "d"))
+	n.NotifyQueueOpen(qid, waiter("b"))
+	for i, want := range [][]string{{"a", "b"}, {"c", "d"}, nil} {
+		got = got[:0]
+		wake()
+		if !slices.Equal(got, want) {
+			t.Fatalf("wake-up %d fired %v, want %v", i, got, want)
+		}
+	}
+
+	var rearm [3]func()
+	for i := range rearm {
+		rearm[i] = func() {
+			got = append(got, strconv.Itoa(i))
+			n.NotifyQueueOpen(qid, rearm[i])
+		}
+		n.NotifyQueueOpen(qid, rearm[i])
+	}
+	for i := 0; i < 4; i++ {
+		got = got[:0]
+		wake()
+		if !slices.Equal(got, []string{"0", "1", "2"}) {
+			t.Fatalf("re-armed wake-up %d fired %v", i, got)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { got = got[:0]; wake() }); avg != 0 {
+		t.Errorf("a register/wake cycle allocates %.2f objects, want 0", avg)
 	}
 }
 

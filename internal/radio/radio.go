@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gmp/internal/geom"
 	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
@@ -223,7 +224,10 @@ type Stats struct {
 //
 // The per-frame hot path is allocation-free in steady state: propagation
 // and carrier sensing iterate the topology's precomputed neighbor lists
-// (O(degree) instead of O(N) node scans), per-link state lives in dense
+// (O(degree) instead of O(N) node scans), interference is marked only
+// against in-flight senders within reach of the new one (a squared
+// distance test, so per-frame work does not grow with the number of
+// distant transmissions in a city), per-link state lives in dense
 // slices keyed by the topology's link index, frame airtimes are memoized
 // per (kind, size), and transmission records are pooled across frames.
 type Medium struct {
@@ -237,6 +241,16 @@ type Medium struct {
 	busy         []int // per node: count of foreign carriers sensed
 	transmitting []bool
 	frameSeq     int64
+
+	// reachSq bounds, squared, how far apart two senders can be for
+	// either to corrupt the other's frame. A corruption mark needs a
+	// receiver r of one sender (within TxRange of it) that is the other
+	// sender (half duplex) or within its CSRange; by the triangle
+	// inequality such senders are at most TxRange + max(TxRange,
+	// CSRange) apart. The relative slack covers float rounding in the
+	// squared distances, so the filter can only keep a pair that cannot
+	// interact, never drop one that can.
+	reachSq float64
 
 	// Fault-injection state (see internal/faults). down nodes neither
 	// transmit nor receive; linkLoss/nodeLoss add per-link and
@@ -303,7 +317,15 @@ func NewMedium(sched *sim.Scheduler, topo *topology.Topology, params Params, rng
 		dataAir:      make(map[int]time.Duration),
 		bcastAir:     make(map[int]time.Duration),
 		corrWords:    (topo.NumNodes() + 63) / 64,
+		reachSq:      interferenceReachSq(topo.Config()),
 	}
+}
+
+// interferenceReachSq returns the squared sender-to-sender distance
+// beyond which no transmission can corrupt another (see Medium.reachSq).
+func interferenceReachSq(cfg topology.Config) float64 {
+	reach := cfg.TxRange + max(cfg.TxRange, cfg.CSRange)
+	return reach * reach * (1 + 1e-9)
 }
 
 // Register installs the MAC station for node n.
@@ -692,18 +714,17 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 		m.spans.DataAirtime(f.Data, src, f.To, now, now+dur)
 	}
 
-	// Mark mutual corruption with every in-flight transmission. All
-	// entries of m.active overlap tx in time by construction.
+	// Mark mutual corruption with every in-flight transmission near
+	// enough to interact (see reachSq); all entries of m.active overlap
+	// tx in time by construction. Marking other's frame also covers
+	// half duplex: src corrupts every in-flight reception at itself.
+	at := m.topo.Position(src)
 	for _, other := range m.active {
+		if geom.DistSq(at, m.topo.Position(other.src)) > m.reachSq {
+			continue
+		}
 		m.markInterference(tx, other)
 		m.markInterference(other, tx)
-	}
-	// A node that starts transmitting corrupts every in-flight reception
-	// at itself (half duplex).
-	for _, other := range m.active {
-		if m.topo.InTxRange(other.src, src) {
-			m.corrupt(other, src)
-		}
 	}
 	m.active = append(m.active, tx)
 	m.transmitting[src] = true
@@ -726,7 +747,7 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 
 // markInterference marks victim's frame corrupted at every potential
 // receiver of victim that lies within interference range of source's
-// transmitter.
+// transmitter, or is source's transmitter itself (half duplex).
 func (m *Medium) markInterference(victim, source *transmission) {
 	for _, n := range m.topo.Neighbors(victim.src) {
 		if n == source.src || m.topo.InCSRange(source.src, n) {

@@ -14,6 +14,8 @@ package gmp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"math"
@@ -188,7 +190,8 @@ func TestDeterminismGate(t *testing.T) {
 // layer: enabling Config.Telemetry must reproduce the telemetry-off
 // Result byte-for-byte (the committed goldens above, which exclude the
 // Telemetry field), and the recorded telemetry itself must be schema-
-// valid and byte-identical across repeated runs.
+// valid, byte-identical across repeated runs, and match its committed
+// digest.
 func TestTelemetryGate(t *testing.T) {
 	for _, tc := range gateCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -218,6 +221,7 @@ func TestTelemetryGate(t *testing.T) {
 			if _, err := obs.ValidateJSONL(bytes.NewReader(j1.Bytes())); err != nil {
 				t.Fatalf("telemetry JSONL fails its schema: %v", err)
 			}
+			gateDigest(t, tc.name, "telemetry", j1.Bytes())
 
 			res2, err := Run(cfg)
 			if err != nil {
@@ -231,6 +235,31 @@ func TestTelemetryGate(t *testing.T) {
 				t.Error("telemetry JSONL differs between identical runs")
 			}
 		})
+	}
+}
+
+// gateDigest checks a recorded JSONL stream against its committed
+// SHA-256 digest, testdata/determinism/<name>.<kind>.sha256 (rewritten
+// under -update-golden). The digest pins the stream's content, so a
+// hook that stops recording fails here even if every run agrees with
+// the next.
+func gateDigest(t *testing.T, name, kind string, jsonl []byte) {
+	t.Helper()
+	sum := sha256.Sum256(jsonl)
+	got := hex.EncodeToString(sum[:]) + "\n"
+	path := filepath.Join("testdata", "determinism", name+"."+kind+".sha256")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing digest (run with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s JSONL digest %s differs from committed %s", kind, strings.TrimSpace(got), strings.TrimSpace(string(want)))
 	}
 }
 

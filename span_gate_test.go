@@ -29,14 +29,18 @@ func spanJSONL(t *testing.T, tr *SpanTrace) []byte {
 	return b.Bytes()
 }
 
-// TestSpanGate runs every determinism-gate case with spans enabled: the
-// Result must match the spans-off golden byte for byte, and the span
-// JSONL must validate and reproduce across runs.
+// TestSpanGate runs every determinism-gate case with every observer on
+// (spans, telemetry and a small event ring): the Result must match the
+// observers-off golden byte for byte, the span JSONL must validate and
+// reproduce across runs, and both the span and the telemetry JSONL must
+// match their committed digests.
 func TestSpanGate(t *testing.T) {
 	for _, tc := range gateCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Spans = &SpanConfig{}
+			cfg.Telemetry = &TelemetryConfig{}
+			cfg.EventTrace = 256
 			res1, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -58,6 +62,12 @@ func TestSpanGate(t *testing.T) {
 			if _, err := span.ValidateJSONL(bytes.NewReader(j1)); err != nil {
 				t.Fatalf("span JSONL fails its schema: %v", err)
 			}
+			gateDigest(t, tc.name, "spans", j1)
+			var tel bytes.Buffer
+			if err := res1.Telemetry.WriteJSONL(&tel); err != nil {
+				t.Fatal(err)
+			}
+			gateDigest(t, tc.name, "telemetry", tel.Bytes())
 
 			res2, err := Run(cfg)
 			if err != nil {

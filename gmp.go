@@ -653,71 +653,38 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("gmp: %w", err)
 	}
 
-	// Telemetry (see internal/obs). The recorder only observes, and the
-	// sampler below draws no randomness and touches no protocol state,
-	// so a telemetry-on run reproduces a telemetry-off run exactly.
-	var rec *obs.Recorder
-	sinkFn := forwarding.SinkFunc(registry.OnDeliver)
+	// Instrumentation: one probe, handed to every layer. Its consumers
+	// (telemetry, see internal/obs; causal spans, internal/span; the
+	// event ring, internal/trace) only observe: span sampling is a pure
+	// function of (Config.Seed, flow, stride), no consumer draws
+	// randomness, and the telemetry sampler below touches no protocol
+	// state, so an instrumented run reproduces an uninstrumented one
+	// exactly.
+	var probe obs.Probe
 	if cfg.Telemetry != nil {
 		interval := cfg.Telemetry.SampleInterval
 		if interval <= 0 {
 			interval = cfg.Period
 		}
-		rec = obs.NewRecorder(topo, len(allFlows), interval, sched.Now)
-		medium.SetRecorder(rec)
-		sinkFn = func(p *packet.Packet, from topology.NodeID) {
-			rec.Delivered(p.Flow, sched.Now()-p.Created)
-			registry.OnDeliver(p, from)
-		}
+		probe.Telemetry = obs.NewRecorder(topo, len(allFlows), interval, sched.Now)
 	}
-
-	// Causal tracing (see internal/span). Sampling is a pure function of
-	// (Config.Seed, flow, stride) — no randomness is drawn — and the
-	// recorder only observes, so a spans-on run reproduces a spans-off
-	// run exactly.
-	var spanRec *span.Recorder
 	if cfg.Spans != nil {
-		spanRec = span.NewRecorder(topo.NumNodes(), len(allFlows), cfg.Seed, cfg.Spans.SampleEvery, sched.Now)
-		medium.SetSpans(spanRec)
-		prevSink := sinkFn
-		sinkFn = func(p *packet.Packet, from topology.NodeID) {
-			spanRec.Delivered(p)
-			prevSink(p, from)
-		}
+		probe.Spans = span.NewRecorder(topo.NumNodes(), len(allFlows), cfg.Seed, cfg.Spans.SampleEvery, sched.Now)
 	}
-
-	var ring *trace.Ring
-	dropFn := registry.OnDrop
 	if cfg.EventTrace > 0 {
-		ring = trace.NewRing(cfg.EventTrace)
-		medium.SetObserver(ring.Record)
-		dropFn = func(p *packet.Packet, reason forwarding.DropReason) {
-			ring.Record(trace.Event{
-				At:     sched.Now(),
-				Kind:   trace.KindDrop,
-				Node:   p.Src,
-				Peer:   p.Dst,
-				Detail: fmt.Sprintf("%s %s", p, reason),
-			})
-			registry.OnDrop(p, reason)
-		}
+		probe.Events = trace.NewRing(cfg.EventTrace)
 	}
+	medium.SetProbe(probe)
 
 	nodes := make([]*forwarding.Node, topo.NumNodes())
 	stations := make([]*mac.Station, topo.NumNodes())
 	macCfg := mac2Config(cfg)
 	for _, id := range topo.Nodes() {
-		n := forwarding.NewNode(id, sched, fwdCfg, routes, sinkFn, dropFn)
+		n := forwarding.NewNode(id, sched, fwdCfg, routes, registry.OnDeliver, registry.OnDrop)
 		st := newStation(id, sched, medium, macCfg, master.Int63(), n)
 		n.SetMAC(st)
-		if rec != nil {
-			n.SetRecorder(rec)
-			st.SetRecorder(rec)
-		}
-		if spanRec != nil {
-			n.SetSpans(spanRec)
-			st.SetSpans(spanRec)
-		}
+		n.SetProbe(probe)
+		st.SetProbe(probe)
 		nodes[id] = n
 		stations[id] = st
 	}
@@ -725,9 +692,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for _, spec := range allFlows {
 		src := flow.NewSource(spec, sched, nodes[spec.Src], cfg.Period, sim.NewRand(master.Int63()))
 		src.SetCBR(cfg.CBRSources)
-		if spanRec != nil {
-			src.SetSpans(spanRec)
-		}
+		src.SetProbe(probe)
 		registry.AttachSource(spec.ID, src)
 		// Static flows start immediately; churn flows wait for their
 		// arrival's admission decision (StartNow in the admit hook).
@@ -862,8 +827,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if fengine != nil {
 			gmpRT.SetFaultProbe(fengine.DownNodes)
 		}
-		gmpRT.SetRecorder(rec)
-		gmpRT.SetSpans(spanRec)
+		gmpRT.SetProbe(probe)
 	}
 
 	// admCtrl is the churn admission controller (set further below, when
@@ -888,8 +852,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				panic(fmt.Sprintf("gmp: mobility epoch at %v: %v", sched.Now(), merr))
 			}
 			medium.EndTopologyChange(diff.OldLinks)
-			if rec != nil {
-				rec.OnTopologyChange(diff.OldLinks)
+			if probe.Telemetry != nil {
+				probe.Telemetry.OnTopologyChange(diff.OldLinks)
 			}
 			if diff.Changed() {
 				lastTopoChange = sched.Now()
@@ -992,15 +956,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			},
 			OnAdmit: func(id packet.FlowID, f churn.Flow) {
 				registry.Source(id).StartNow()
-				rec.Admission(id, true, "")
+				probe.Telemetry.Admission(id, true, "")
 			},
 			OnReject: func(id packet.FlowID, f churn.Flow, reason admission.Reason) {
-				rec.Admission(id, false, reason.String())
+				probe.Telemetry.Admission(id, false, reason.String())
 			},
 			OnDepart: teardown,
 			OnShed: func(id packet.FlowID, f churn.Flow) {
 				teardown(id, f)
-				rec.Admission(id, false, admission.Shed.String())
+				probe.Telemetry.Admission(id, false, admission.Shed.String())
 			},
 		})
 		if engine != nil && admCtrl != nil {
@@ -1020,19 +984,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	if rec != nil {
+	if probe.Telemetry != nil {
 		// Periodic sampler: queue depths, per-link channel utilization,
 		// per-flow rate limits. Pure observation on the virtual clock.
-		interval := rec.SampleInterval()
+		interval := probe.Telemetry.SampleInterval()
 		var sample func()
 		sample = func() {
 			s := obs.Sample{At: sched.Now(), Queues: make([]int, len(nodes))}
 			for i, n := range nodes {
 				s.Queues[i] = n.TotalQueued()
 			}
-			s.Links = rec.SampleLinkUtil(interval)
+			s.Links = probe.Telemetry.SampleLinkUtil(interval)
 			s.Limits = registry.Limits()
-			rec.AddSample(s)
+			probe.Telemetry.AddSample(s)
 			sched.After(interval, sample)
 		}
 		sched.After(interval, sample)
@@ -1103,8 +1067,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for _, st := range stations {
 		res.MAC = append(res.MAC, st.Stats())
 	}
-	if ring != nil {
-		res.Events = ring.Events()
+	if probe.Events != nil {
+		res.Events = probe.Events.Events()
 	}
 	res.ControlOverhead = float64(res.Channel.ControlAirtime) / float64(cfg.Duration)
 	hops := make([]int, len(rates))
@@ -1193,11 +1157,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		rep := RecoveryReport(res.Trace, anchor, DefaultRecoveryTol)
 		res.RecoveryTime, res.Recovered = rep.Time, rep.Settled
 	}
-	if rec != nil {
-		res.Telemetry = rec.Finalize(cfg.Scenario.Name, cfg.Protocol.String())
+	if probe.Telemetry != nil {
+		res.Telemetry = probe.Telemetry.Finalize(cfg.Scenario.Name, cfg.Protocol.String())
 	}
-	if spanRec != nil {
-		res.Spans = spanRec.Finalize(cfg.Scenario.Name, cfg.Protocol.String(), cfg.Duration)
+	if probe.Spans != nil {
+		res.Spans = probe.Spans.Finalize(cfg.Scenario.Name, cfg.Protocol.String(), cfg.Duration)
 	}
 	return res, nil
 }
@@ -1208,8 +1172,7 @@ type protocolRuntime interface {
 	SetFaultProbe(func() []topology.NodeID)
 	SetCliques(*clique.Set)
 	OnFlowDeparted(f packet.FlowID, src topology.NodeID)
-	SetRecorder(*obs.Recorder)
-	SetSpans(*span.Recorder)
+	SetProbe(obs.Probe)
 	Trace() []core.Round
 }
 

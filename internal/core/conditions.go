@@ -18,7 +18,6 @@ import (
 	"gmp/internal/measure"
 	"gmp/internal/obs"
 	"gmp/internal/packet"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -57,12 +56,10 @@ type conditions struct {
 	// single noisy period cannot unleash a burst.
 	slack map[packet.FlowID]int
 
-	// rec is the telemetry recorder and spans the causal-trace recorder
-	// (nil when off). Both only observe which condition generated each
-	// request and every applied limit change; spans also receive the
-	// decision provenance (bottleneck clique and occupancy figures).
-	rec   *obs.Recorder
-	spans *span.Recorder
+	// probe observes which condition generated each request and every
+	// applied limit change; spans also receive the decision provenance
+	// (bottleneck clique and occupancy figures).
+	probe obs.Probe
 }
 
 func newConditions(params Params) conditions {
@@ -81,8 +78,8 @@ func (c *conditions) forget(f packet.FlowID) {
 // cliqueID, occ and maxOcc carry the bandwidth condition's provenance
 // for the span recorder (zero for the other conditions).
 func (c *conditions) record(f packet.FlowID, node topology.NodeID, cond obs.Condition, req Request, cliqueID string, occ []float64, maxOcc float64) {
-	c.rec.Condition(f, node, cond, req.Reduce, req.Factor)
-	c.spans.Condition(f, node, cond.String(), req.Reduce, req.Factor, cliqueID, occ, maxOcc)
+	c.probe.Telemetry.Condition(f, node, cond, req.Reduce, req.Factor)
+	c.probe.Spans.Condition(f, node, cond.String(), req.Reduce, req.Factor, cliqueID, occ, maxOcc)
 }
 
 // localFlow is a flow sourced at the virtual node under test, as the
@@ -264,7 +261,7 @@ func (c *conditions) applyLimit(src *flow.Source, req Request, has bool, rate fl
 	if l, ok := src.Limited(); ok {
 		after = l
 	}
-	c.rec.LimitChange(f, action, before, after)
+	c.probe.Telemetry.LimitChange(f, action, before, after)
 	if action == obs.ActionProbe || action == obs.ActionRemove {
 		// The rate-limit condition itself fired: the limit probes
 		// upward or is shed.
@@ -272,7 +269,7 @@ func (c *conditions) applyLimit(src *flow.Source, req Request, has bool, rate fl
 		if action == obs.ActionProbe && before > 0 && after > 0 {
 			factor = after / before
 		}
-		c.rec.Condition(f, spec.Src, obs.CondRateLimit, false, factor)
+		c.probe.Telemetry.Condition(f, spec.Src, obs.CondRateLimit, false, factor)
 	}
-	c.spans.LimitChange(f, spec.Src, string(action), before, after)
+	c.probe.Spans.LimitChange(f, spec.Src, string(action), before, after)
 }

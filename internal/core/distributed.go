@@ -36,7 +36,6 @@ import (
 	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -534,19 +533,12 @@ func (d *Distributed) Trace() []Round { return d.trace }
 // (i.e. right after StartDistributed returns, before sched.Run).
 func (d *Distributed) SetFaultProbe(fn func() []topology.NodeID) { d.faultProbe = fn }
 
-// SetRecorder installs the telemetry recorder on every agent (nil
-// disables). Install it before sched.Run, like SetFaultProbe.
-func (d *Distributed) SetRecorder(rec *obs.Recorder) {
+// SetProbe installs the run's instrumentation on every agent (the zero
+// Probe, the default, disables it). Install it before sched.Run, like
+// SetFaultProbe.
+func (d *Distributed) SetProbe(p obs.Probe) {
 	for _, a := range d.Agents {
-		a.rec = rec
-	}
-}
-
-// SetSpans installs the causal-trace recorder on every agent (nil
-// disables). Install it before sched.Run, like SetRecorder.
-func (d *Distributed) SetSpans(r *span.Recorder) {
-	for _, a := range d.Agents {
-		a.spans = r
+		a.probe = p
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"gmp/internal/forwarding"
+	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -117,9 +117,9 @@ type Source struct {
 	// queue allocates only for packets that are admitted.
 	refused *packet.Packet
 
-	// spans, when non-nil, receives causal-trace events for sampled
-	// packets (source backpressure). Purely observational.
-	spans *span.Recorder
+	// probe observes source backpressure (spans only). Purely
+	// observational.
+	probe obs.Probe
 }
 
 // NewSource builds the generator for spec, injecting into node (which must
@@ -154,8 +154,9 @@ func NewSource(spec Spec, sched *sim.Scheduler, node *forwarding.Node, period ti
 // Spec returns the flow's specification.
 func (s *Source) Spec() Spec { return s.spec }
 
-// SetSpans installs a causal-trace recorder (nil disables, the default).
-func (s *Source) SetSpans(r *span.Recorder) { s.spans = r }
+// SetProbe installs the run's instrumentation (the zero Probe, the
+// default, disables it).
+func (s *Source) SetProbe(p obs.Probe) { s.probe = p }
 
 // SetCBR switches the generator from Poisson arrivals (the default) to
 // constant-bit-rate generation. Poisson is the default because phase lock
@@ -282,8 +283,8 @@ func (s *Source) generate() {
 	if !s.node.Enqueue(p) {
 		// Local queue full: the source slows down (§2.2). Resume when the
 		// queue opens; the unsent packet is regenerated then.
-		if s.spans != nil {
-			s.spans.SourceBlocked(p)
+		if s.probe.Spans != nil {
+			s.probe.Spans.SourceBlocked(p)
 		}
 		s.refused = p
 		s.waiting = true

@@ -18,7 +18,6 @@ import (
 	"gmp/internal/packet"
 	"gmp/internal/radio"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 )
 
@@ -189,16 +188,13 @@ type Station struct {
 
 	stats Stats
 
-	// rec is the telemetry recorder (nil when telemetry is off); curSince
-	// is the virtual time the current packet was pulled from the client,
-	// for MAC service-time spans. Only maintained while rec is set.
-	rec      *obs.Recorder
+	// probe observes completed exchanges, retries, pulls, backoff
+	// segments and deferrals; it never feeds back into channel access.
+	// curSince is the virtual time the current packet was pulled from
+	// the client, for MAC service times. Only maintained while telemetry
+	// is on.
+	probe    obs.Probe
 	curSince time.Duration
-
-	// spans is the causal-trace recorder (nil when tracing is off). It
-	// observes pulls, backoff segments, deferrals, and retries for
-	// sampled packets; it never feeds back into channel access.
-	spans *span.Recorder
 }
 
 var _ radio.Station = (*Station)(nil)
@@ -239,15 +235,9 @@ func (s *Station) ID() topology.NodeID { return s.id }
 // Stats returns a snapshot of the station's counters.
 func (s *Station) Stats() Stats { return s.stats }
 
-// SetRecorder installs the telemetry recorder (nil disables). The
-// recorder only observes completed exchanges and retries; it never
-// feeds back into channel access, so enabling it cannot change
-// simulation behavior.
-func (s *Station) SetRecorder(rec *obs.Recorder) { s.rec = rec }
-
-// SetSpans installs the causal-trace recorder (nil disables, the
-// default). Like the telemetry recorder it only observes.
-func (s *Station) SetSpans(r *span.Recorder) { s.spans = r }
+// SetProbe installs the run's instrumentation (the zero Probe, the
+// default, disables it).
+func (s *Station) SetProbe(p obs.Probe) { s.probe = p }
 
 // Down reports whether the station is currently crashed.
 func (s *Station) Down() bool { return s.ph == phaseDown }
@@ -336,11 +326,11 @@ func (s *Station) pullNext() {
 		s.ph = phaseIdle
 		return
 	}
-	if s.rec != nil {
+	if s.probe.Telemetry != nil {
 		s.curSince = s.sched.Now()
 	}
-	if s.spans != nil {
-		s.spans.MACPulled(s.id, s.cur.Pkt)
+	if s.probe.Spans != nil {
+		s.probe.Spans.MACPulled(s.id, s.cur.Pkt)
 	}
 	s.retries = 0
 	s.startAccess()
@@ -369,14 +359,14 @@ func (s *Station) evaluate() {
 		return
 	}
 	if !s.virtualIdle() {
-		if s.spans != nil && s.cur.Pkt != nil {
-			s.spans.MACDeferred(s.id, s.cur.Pkt)
+		if s.probe.Spans != nil && s.cur.Pkt != nil {
+			s.probe.Spans.MACDeferred(s.id, s.cur.Pkt)
 		}
 		s.armNAVTimer()
 		return
 	}
-	if s.spans != nil && s.cur.Pkt != nil {
-		s.spans.MACResumed(s.id, s.cur.Pkt)
+	if s.probe.Spans != nil && s.cur.Pkt != nil {
+		s.probe.Spans.MACResumed(s.id, s.cur.Pkt)
 	}
 	s.ph = phaseDIFS
 	s.difsTimer = s.sched.After(s.par.DIFS, s.onDIFSDoneFn)
@@ -406,8 +396,8 @@ func (s *Station) onDIFSDone() {
 	}
 	s.ph = phaseCountdown
 	s.countdownStart = s.sched.Now()
-	if s.spans != nil && s.cur.Pkt != nil {
-		s.spans.BackoffStart(s.id, s.cur.Pkt, s.backoffSlots)
+	if s.probe.Spans != nil && s.cur.Pkt != nil {
+		s.probe.Spans.BackoffStart(s.id, s.cur.Pkt, s.backoffSlots)
 	}
 	s.countdownTimer = s.sched.After(time.Duration(s.backoffSlots)*s.par.SlotTime, s.onBackoffDoneFn)
 }
@@ -426,15 +416,15 @@ func (s *Station) freeze() {
 		}
 		s.backoffSlots -= consumed
 		s.countdownTimer.Cancel()
-		if s.spans != nil && s.cur.Pkt != nil {
-			s.spans.BackoffEnd(s.id, s.cur.Pkt)
+		if s.probe.Spans != nil && s.cur.Pkt != nil {
+			s.probe.Spans.BackoffEnd(s.id, s.cur.Pkt)
 		}
 		s.ph = phaseWaitIdle
 	default:
 		return
 	}
-	if s.spans != nil && s.cur.Pkt != nil {
-		s.spans.MACDeferred(s.id, s.cur.Pkt)
+	if s.probe.Spans != nil && s.cur.Pkt != nil {
+		s.probe.Spans.MACDeferred(s.id, s.cur.Pkt)
 	}
 }
 
@@ -449,8 +439,8 @@ func (s *Station) onBackoffDone() {
 		return
 	}
 	s.backoffSlots = 0
-	if s.spans != nil && s.cur.Pkt != nil {
-		s.spans.BackoffEnd(s.id, s.cur.Pkt)
+	if s.probe.Spans != nil && s.cur.Pkt != nil {
+		s.probe.Spans.BackoffEnd(s.id, s.cur.Pkt)
 	}
 	if len(s.ctrl) > 0 {
 		s.sendBroadcast()
@@ -550,11 +540,11 @@ func (s *Station) onExchangeTimeout() {
 	}
 	s.retries++
 	s.stats.Retries++
-	if s.rec != nil {
-		s.rec.MACRetry(s.id, s.cur.Pkt.Flow)
+	if s.probe.Telemetry != nil {
+		s.probe.Telemetry.MACRetry(s.id, s.cur.Pkt.Flow)
 	}
-	if s.spans != nil {
-		s.spans.MACRetry(s.id, s.cur.Pkt, s.retries)
+	if s.probe.Spans != nil {
+		s.probe.Spans.MACRetry(s.id, s.cur.Pkt, s.retries)
 	}
 	if s.retries > s.par.RetryLimit {
 		s.stats.Drops++
@@ -711,8 +701,8 @@ func (s *Station) handleAck(f *radio.Frame) {
 	}
 	s.waitTimer.Cancel()
 	s.stats.DataAcked++
-	if s.rec != nil {
-		s.rec.MACService(s.id, s.cur.Pkt.Flow, s.sched.Now()-s.curSince)
+	if s.probe.Telemetry != nil {
+		s.probe.Telemetry.MACService(s.id, s.cur.Pkt.Flow, s.sched.Now()-s.curSince)
 	}
 	out := s.cur
 	s.cur = Outgoing{}

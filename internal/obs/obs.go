@@ -5,9 +5,9 @@
 //
 // The layer is strictly zero-cost when disabled. Every producer (the
 // radio medium, the MAC stations, the forwarding nodes, the protocol
-// engines) holds a *Recorder that is nil in an untelemetered run; hooks
-// are gated on a nil check and every Recorder method is additionally
-// nil-receiver-safe. A nil Recorder therefore adds one predictable
+// engines) holds a Probe whose Telemetry is nil in an untelemetered
+// run; hooks are gated on a nil check and every Recorder method is
+// additionally nil-receiver-safe. A nil Recorder therefore adds one predictable
 // branch per hook and no allocations — the determinism goldens and the
 // AllocsPerRun regressions of the hot paths are unaffected (see the
 // zero-cost contract in DESIGN.md "Observability").

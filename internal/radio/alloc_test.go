@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gmp/internal/geom"
+	"gmp/internal/obs"
 	"gmp/internal/sim"
 	"gmp/internal/topology"
 )
@@ -41,14 +42,15 @@ func TestDeliveryAllocs(t *testing.T) {
 	}
 }
 
-// TestDeliveryAllocsNilRecorder pins the telemetry layer's zero-cost
-// contract on the frame-delivery hot path: with the recorder explicitly
-// nil (the disabled state every untelemetered run uses), delivery
-// allocates no more than the pre-telemetry baseline measured alongside.
+// TestDeliveryAllocsNilRecorder pins the instrumentation's zero-cost
+// contract on the frame-delivery hot path: with the zero probe
+// explicitly installed (the disabled state every uninstrumented run
+// uses), delivery allocates no more than the baseline measured
+// alongside.
 func TestDeliveryAllocsNilRecorder(t *testing.T) {
 	baseline := newHarness(t, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}})
 	disabled := newHarness(t, []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}})
-	disabled.medium.SetRecorder(nil)
+	disabled.medium.SetProbe(obs.Probe{})
 	f := dataFrame(0, 1)
 
 	for i := 0; i < 16; i++ {

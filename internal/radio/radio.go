@@ -20,7 +20,6 @@ import (
 	"gmp/internal/obs"
 	"gmp/internal/packet"
 	"gmp/internal/sim"
-	"gmp/internal/span"
 	"gmp/internal/topology"
 	"gmp/internal/trace"
 )
@@ -285,15 +284,12 @@ type Medium struct {
 	idleScratch []topology.NodeID // reused by finish
 	busyBefore  []bool            // scratch for Begin/EndTopologyChange
 
-	stats    Stats
-	observer func(trace.Event)
-	// rec is the telemetry recorder (nil when telemetry is off; the hot
-	// path pays one branch per transmission, see internal/obs).
-	rec *obs.Recorder
-	// spans is the causal-trace recorder (nil when tracing is off). It
-	// observes data-frame airtime and corruption for sampled packets and
-	// tracks which transmitter holds each node's carrier sense busy.
-	spans *span.Recorder
+	stats Stats
+	// probe observes the channel: telemetry accumulates per-link
+	// airtime, spans see data-frame airtime, corruption and which
+	// transmitter holds each node's carrier sense busy, and the event
+	// ring records every frame and its outcome.
+	probe obs.Probe
 }
 
 // NewMedium builds the channel for the given topology. Stations register
@@ -339,28 +335,19 @@ func (m *Medium) Register(n topology.NodeID, st Station) {
 // Params returns the channel constants.
 func (m *Medium) Params() Params { return m.params }
 
-// SetObserver installs a channel-event callback (nil disables). Used by
-// the trace facility; adds no cost when unset.
-func (m *Medium) SetObserver(fn func(trace.Event)) { m.observer = fn }
-
-// SetRecorder installs the telemetry recorder (nil disables). The
-// recorder only accumulates airtime per link; it never mutates channel
-// state, so enabling it cannot change simulation behavior.
-func (m *Medium) SetRecorder(rec *obs.Recorder) { m.rec = rec }
-
-// SetSpans installs the causal-trace recorder (nil disables, the
-// default). Like the telemetry recorder it only observes.
-func (m *Medium) SetSpans(r *span.Recorder) { m.spans = r }
+// SetProbe installs the run's instrumentation (the zero Probe, the
+// default, disables it).
+func (m *Medium) SetProbe(p obs.Probe) { m.probe = p }
 
 func (m *Medium) emit(kind trace.Kind, node, peer topology.NodeID, f *Frame) {
-	if m.observer == nil {
+	if m.probe.Events == nil {
 		return
 	}
 	detail := f.Kind.String()
 	if f.Data != nil {
 		detail += " " + f.Data.String()
 	}
-	m.observer(trace.Event{
+	m.probe.Events.Record(trace.Event{
 		At:     m.sched.Now(),
 		Kind:   kind,
 		Node:   node,
@@ -600,15 +587,15 @@ func (m *Medium) EndTopologyChange(oldLinks []topology.Link) {
 	for _, tx := range m.active {
 		for _, n := range m.topo.CSNeighbors(tx.src) {
 			m.busy[n]++
-			if m.busy[n] == 1 && m.spans != nil {
-				m.spans.NodeBusy(n, tx.src)
+			if m.busy[n] == 1 && m.probe.Spans != nil {
+				m.probe.Spans.NodeBusy(n, tx.src)
 			}
 		}
 	}
-	if m.spans != nil {
+	if m.probe.Spans != nil {
 		for n := range m.busy {
 			if m.busy[n] == 0 {
-				m.spans.NodeIdle(topology.NodeID(n))
+				m.probe.Spans.NodeIdle(topology.NodeID(n))
 			}
 		}
 	}
@@ -700,8 +687,8 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 		atomic.AddInt64((*int64)(&m.stats.ControlAirtime), int64(dur))
 	} else if idx := m.topo.LinkIndex(f.LinkFrom, f.LinkTo); idx >= 0 {
 		m.occupancy[idx] += dur
-		if m.rec != nil {
-			m.rec.LinkAirtime(idx, dur)
+		if m.probe.Telemetry != nil {
+			m.probe.Telemetry.LinkAirtime(idx, dur)
 		}
 	} else {
 		if m.occupancyFar == nil {
@@ -710,8 +697,8 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 		m.occupancyFar[topology.Link{From: f.LinkFrom, To: f.LinkTo}] += dur
 	}
 	m.emit(trace.KindTransmit, src, f.To, f)
-	if m.spans != nil && f.Kind == FrameData && f.Data != nil {
-		m.spans.DataAirtime(f.Data, src, f.To, now, now+dur)
+	if m.probe.Spans != nil && f.Kind == FrameData && f.Data != nil {
+		m.probe.Spans.DataAirtime(f.Data, src, f.To, now, now+dur)
 	}
 
 	// Mark mutual corruption with every in-flight transmission near
@@ -733,8 +720,8 @@ func (m *Medium) Transmit(src topology.NodeID, f *Frame) {
 	for _, n := range m.topo.CSNeighbors(src) {
 		m.busy[n]++
 		if m.busy[n] == 1 {
-			if m.spans != nil {
-				m.spans.NodeBusy(n, src)
+			if m.probe.Spans != nil {
+				m.probe.Spans.NodeBusy(n, src)
 			}
 			if !m.transmitting[n] {
 				m.stations[n].OnBusy()
@@ -776,8 +763,8 @@ func (m *Medium) finish(tx *transmission) {
 			panic("radio: negative busy count")
 		}
 		if m.busy[n] == 0 {
-			if m.spans != nil {
-				m.spans.NodeIdle(n)
+			if m.probe.Spans != nil {
+				m.probe.Spans.NodeIdle(n)
 			}
 			nowIdle = append(nowIdle, n)
 		}
@@ -809,8 +796,8 @@ func (m *Medium) finish(tx *transmission) {
 		} else {
 			atomic.AddInt64(&m.stats.Corrupted, 1)
 			m.emit(trace.KindCorrupt, n, tx.src, tx.frame)
-			if m.spans != nil && n == tx.frame.To && tx.frame.Kind == FrameData && tx.frame.Data != nil {
-				m.spans.DataCorrupted(tx.frame.Data, tx.src, n)
+			if m.probe.Spans != nil && n == tx.frame.To && tx.frame.Kind == FrameData && tx.frame.Data != nil {
+				m.probe.Spans.DataCorrupted(tx.frame.Data, tx.src, n)
 			}
 		}
 		m.stations[n].OnFrame(tx.frame, ok)

@@ -6,9 +6,10 @@
 // Like the telemetry recorder (internal/obs), the Recorder only
 // observes: it draws no randomness, mutates no protocol state, and
 // schedules no events, so enabling it cannot change simulation
-// behavior. Every producer gates its hooks on a nil check, and all
-// Recorder methods are additionally safe on a nil receiver, so the
-// spans-off hot path pays one branch and zero allocations.
+// behavior. Producers reach it through their obs.Probe and gate each
+// hook on a nil check of Probe.Spans, and all Recorder methods are
+// additionally safe on a nil receiver, so the spans-off hot path pays
+// one branch and zero allocations.
 //
 // Memory is bounded by deterministic 1-in-k per-flow sampling: packet
 // seq is sampled when seq ≡ offset (mod k), where offset is a seeded

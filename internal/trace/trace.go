@@ -43,10 +43,11 @@ func (k Kind) String() string {
 type Event struct {
 	At   time.Duration
 	Kind Kind
-	// Node is where the event happened (transmitter or receiver).
+	// Node is where the event happened (transmitter, receiver, or the
+	// node that dropped the packet).
 	Node topology.NodeID
 	// Peer is the other end (intended receiver for tx, transmitter for
-	// rx/col), or -1.
+	// rx/col), or -1 (drop).
 	Peer topology.NodeID
 	// Detail is a short free-form description (frame kind, packet
 	// identity, drop reason).

@@ -2,7 +2,9 @@
 // /v1/jobs/{id}/spans): it reconstructs per-packet critical paths with
 // per-hop latency breakdowns, aggregates where sampled packets waited,
 // lists the provenance chain behind every §5.3 rate-limit change, and
-// converts traces to Chrome trace-event JSON for Perfetto.
+// converts traces to Chrome trace-event JSON for Perfetto. Its lint
+// command validates span and telemetry JSONL files against their
+// schemas and exits non-zero if any file is malformed.
 //
 // Usage:
 //
@@ -10,6 +12,7 @@
 //	traceq top-waits [-n 10] trace.jsonl
 //	traceq limit-chain [-flow N] trace.jsonl
 //	traceq perfetto [-o out.json] [-check] trace.jsonl
+//	traceq lint [-schema auto|telemetry|spans] file.jsonl [file.jsonl ...]
 package main
 
 import (
@@ -35,7 +38,8 @@ commands:
   critical-path  per-packet hop-by-hop latency breakdown (-flow N, -verify)
   top-waits      where sampled packets waited, aggregated by node (-n N)
   limit-chain    provenance of every rate-limit change (-flow N)
-  perfetto       convert to Chrome trace-event JSON (-o file, -check)`)
+  perfetto       convert to Chrome trace-event JSON (-o file, -check)
+  lint           validate span/telemetry JSONL files (-schema auto|telemetry|spans)`)
 	os.Exit(2)
 }
 
@@ -75,6 +79,11 @@ func main() {
 		err = withTrace(fs.Args(), func(t *span.Trace) error {
 			return perfetto(t, *out, *check)
 		})
+	case "lint":
+		fs := flag.NewFlagSet("lint", flag.ExitOnError)
+		schema := fs.String("schema", "auto", "schema to validate against: auto, telemetry, or spans")
+		fs.Parse(os.Args[2:])
+		os.Exit(lintAll(fs.Args(), *schema))
 	default:
 		usage()
 	}

@@ -335,7 +335,7 @@ func (s *server) buildJob(req *jobRequest) (*jobState, error) {
 	if protoName == "" {
 		protoName = "gmp"
 	}
-	proto, canonicalProto, err := parseProtocol(protoName)
+	proto, canonicalProto, err := gmp.ParseProtocol(protoName)
 	if err != nil {
 		return nil, err
 	}
@@ -836,28 +836,5 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
 		fmt.Fprintf(w, "%s %d\n", m.name, m.value)
-	}
-}
-
-// parseProtocol accepts cmd/gmpsim's protocol names and returns the
-// protocol plus its canonical API spelling. The canonical spelling —
-// not the display name from Protocol.String — goes into the cache key,
-// so "80211" and "dcf" address the same content as "802.11".
-func parseProtocol(name string) (gmp.Protocol, string, error) {
-	switch name {
-	case "gmp":
-		return gmp.ProtocolGMP, "gmp", nil
-	case "gmp-dist":
-		return gmp.ProtocolGMPDistributed, "gmp-dist", nil
-	case "802.11", "80211", "dcf":
-		return gmp.Protocol80211, "802.11", nil
-	case "2pp":
-		return gmp.Protocol2PP, "2pp", nil
-	case "bp":
-		return gmp.ProtocolBackpressure, "bp", nil
-	case "bp-shared":
-		return gmp.ProtocolBackpressureShared, "bp-shared", nil
-	default:
-		return 0, "", fmt.Errorf("unknown protocol %q", name)
 	}
 }

@@ -206,6 +206,43 @@ func TestInlineScenarioSubmission(t *testing.T) {
 	}
 }
 
+// TestProtocolAliasesShareCache submits 802.11 under each of its
+// accepted names: the cache key holds the canonical spelling, so the
+// aliases address one entry and only the first job simulates. gmpsim's
+// "gmpd" alias for distributed GMP is accepted too.
+func TestProtocolAliasesShareCache(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	body := func(proto string) string {
+		return `{"scenario_name":"fig3","protocol":"` + proto + `","duration_s":4,"warmup_s":2}`
+	}
+	first := submit(t, ts, body("80211"))
+	if st := waitTerminal(t, ts, first.ID); st.Status != "done" || st.SimsExecuted != 1 {
+		t.Fatalf("first 802.11 job: %+v", st)
+	}
+	want := getResult(t, ts, first.ID)
+	for _, alias := range []string{"dcf", "802.11"} {
+		job := submit(t, ts, body(alias))
+		st := waitTerminal(t, ts, job.ID)
+		if st.Status != "done" || st.SimsExecuted != 0 || st.CacheHits != 1 {
+			t.Fatalf("protocol %q missed the cache: %+v", alias, st)
+		}
+		if got := getResult(t, ts, job.ID); !bytes.Equal(got, want) {
+			t.Fatalf("protocol %q result differs:\n%s\nvs\n%s", alias, got, want)
+		}
+	}
+	dist := submit(t, ts, body("gmpd"))
+	if st := waitTerminal(t, ts, dist.ID); st.Status != "done" || st.SimsExecuted != 1 {
+		t.Fatalf("gmpd alias job: %+v", st)
+	}
+	var doc jobResult
+	if err := json.Unmarshal(getResult(t, ts, dist.ID), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Protocol != "gmp-dist" {
+		t.Fatalf("gmpd alias resolved to %q, want gmp-dist", doc.Protocol)
+	}
+}
+
 // TestCancelMidSweep cancels a long sweep while it runs and checks the
 // typed partial status.
 func TestCancelMidSweep(t *testing.T) {

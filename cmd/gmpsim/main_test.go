@@ -7,29 +7,6 @@ import (
 	"testing"
 )
 
-func TestParseProtocol(t *testing.T) {
-	for name, want := range map[string]string{
-		"gmp":       "GMP",
-		"802.11":    "802.11",
-		"80211":     "802.11",
-		"dcf":       "802.11",
-		"2pp":       "2PP",
-		"bp":        "backpressure/per-dest",
-		"bp-shared": "backpressure/shared",
-	} {
-		p, err := parseProtocol(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if p.String() != want {
-			t.Errorf("%s -> %s, want %s", name, p, want)
-		}
-	}
-	if _, err := parseProtocol("bogus"); err == nil {
-		t.Error("bogus protocol accepted")
-	}
-}
-
 func TestBuildScenario(t *testing.T) {
 	for _, name := range []string{"fig1", "fig2", "fig2w", "fig3", "fig4", "chain", "mesh", "random", "city"} {
 		sc, err := buildScenario(name, 10, 2, 3, 3, 4, 4, 200, 1)

@@ -238,6 +238,30 @@ func (p Protocol) String() string {
 	}
 }
 
+// ParseProtocol parses a protocol name as the command-line tools and
+// gmpd accept it: "gmp", "gmp-dist" (or "gmpd"), "802.11" (or "80211",
+// "dcf"), "2pp", "bp" or "bp-shared". It also returns the name's
+// canonical spelling, the first of each alias set, so that aliases of
+// one protocol compare equal (gmpd keys its result cache on it).
+func ParseProtocol(s string) (Protocol, string, error) {
+	switch s {
+	case "gmp":
+		return ProtocolGMP, "gmp", nil
+	case "gmp-dist", "gmpd":
+		return ProtocolGMPDistributed, "gmp-dist", nil
+	case "802.11", "80211", "dcf":
+		return Protocol80211, "802.11", nil
+	case "2pp":
+		return Protocol2PP, "2pp", nil
+	case "bp":
+		return ProtocolBackpressure, "bp", nil
+	case "bp-shared":
+		return ProtocolBackpressureShared, "bp-shared", nil
+	default:
+		return 0, "", fmt.Errorf("unknown protocol %q", s)
+	}
+}
+
 // Config parameterizes one simulation run. The zero value of every field
 // except Scenario and Protocol is replaced by the paper's defaults (§7).
 type Config struct {

@@ -354,6 +354,31 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
+func TestParseProtocol(t *testing.T) {
+	for name, want := range map[string]struct{ display, canonical string }{
+		"gmp":       {"GMP", "gmp"},
+		"gmp-dist":  {"GMP/distributed", "gmp-dist"},
+		"gmpd":      {"GMP/distributed", "gmp-dist"},
+		"802.11":    {"802.11", "802.11"},
+		"80211":     {"802.11", "802.11"},
+		"dcf":       {"802.11", "802.11"},
+		"2pp":       {"2PP", "2pp"},
+		"bp":        {"backpressure/per-dest", "bp"},
+		"bp-shared": {"backpressure/shared", "bp-shared"},
+	} {
+		p, canonical, err := ParseProtocol(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.String() != want.display || canonical != want.canonical {
+			t.Errorf("%s -> %s, %q; want %s, %q", name, p, canonical, want.display, want.canonical)
+		}
+	}
+	if _, _, err := ParseProtocol("bogus"); err == nil {
+		t.Error("bogus protocol accepted")
+	}
+}
+
 func TestFlowChurnReallocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long simulation")

@@ -112,8 +112,8 @@ func DroneSwarmScenario(n, groups int, groupRadiusMeters float64) (Scenario, err
 }
 
 // NamedScenario builds a scenario from the registry by name — the
-// lookup behind gmpd's scenario-by-name job submissions. ScenarioNames
-// lists the accepted names.
+// lookup behind gmpd's scenario-by-name job submissions and sweep's
+// -scenario flag. ScenarioNames lists the accepted names.
 func NamedScenario(name string) (Scenario, error) { return scenario.Named(name) }
 
 // ScenarioNames lists the scenario registry's names in sorted order.
